@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subset-sum closures and critical numbers of small finite groups.",
     )
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1, help="accepted; the subset scan is serial"
+    )
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # pre-subcommand value from being clobbered by the subparser default
@@ -182,9 +184,7 @@ def _require_group(args) -> str:
 
 
 def _cache_params(args, keys: Sequence[str]) -> dict:
-    params = {k: getattr(args, k, None) for k in keys}
-    params["jobs"] = args.jobs
-    return params
+    return {k: getattr(args, k, None) for k in keys}
 
 
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:

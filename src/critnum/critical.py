@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Optional, Sequence
 
 from .groups import (
     ElementSet,
     GroupTable,
     SubgroupInfo,
-    chunked_translation_tables,
     is_nilpotent,
     is_prime,
     smallest_prime_divisor,
@@ -27,12 +24,10 @@ from .sumsets import (
     _state_search,
     covers_group,
     exact_reach_mask,
+    fixed_order_reach_mask,
 )
 
 DEFAULT_SEED = 0xC0FFEE
-
-_TWO_CHUNK_BITS = 14
-_TWO_CHUNK_MAX = 2 * _TWO_CHUNK_BITS
 
 
 @dataclass
@@ -251,78 +246,84 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
 # ---------------------------------------------------------------------------
 # subset scanning (shared by exhaustive search and the verifiers)
 
+# the group and mask limit of the running scan, for the one-argument escalation hook
 _SCAN: dict = {}
-
-
-def _scan_init(op: tuple, n: int, abelian: bool, mask_limit: int) -> None:
-    """Build per-process lookup state for the subset scan hot loop."""
-    if _SCAN.get("op") is op and _SCAN.get("mask_limit") == mask_limit:
-        return
-    tables = chunked_translation_tables(op, n, _TWO_CHUNK_BITS)
-    t0 = [per[0] for per in tables]
-    t1 = [per[1] if len(per) > 1 else [0] for per in tables]
-    _SCAN.clear()
-    _SCAN.update(
-        op=op,
-        n=n,
-        abelian=abelian,
-        mask_limit=mask_limit,
-        full=(1 << n) - 1,
-        t0=t0,
-        t1=t1,
-        bit=[1 << a for a in range(n)],
-    )
 
 
 def _scan_escalate(members: tuple[int, ...]) -> bool:
     """Slow-path cover check (alternative orders, then the complete search)."""
-    t0 = _SCAN["t0"]
-    t1 = _SCAN["t1"]
-    full = _SCAN["full"]
-    m0 = (1 << _TWO_CHUNK_BITS) - 1
+    g = _SCAN["g"]
+    full = g.full_mask
     for order in _alt_orders(members):
-        r = 0
-        for a in order:
-            r |= t0[a][r & m0] | t1[a][r >> _TWO_CHUNK_BITS] | (1 << a)
-            if r == full:
-                return True
+        if fixed_order_reach_mask(g, order) == full:
+            return True
     reached, _ = _state_search(
-        _SCAN["op"], _SCAN["n"], full, members, _SCAN["mask_limit"], stop_at_full=True
+        g.op, g.n, full, members, _SCAN["mask_limit"], stop_at_full=True
     )
     return reached == full
 
 
-def _scan_task(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    """Scan lexicographic combination ranks [start, stop) of the given size.
+def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Certify the first `cap` size-`size` subsets of G\\{0} in lexicographic order.
 
-    Returns the number of subsets checked and the non-bases found (stopping
-    after `limit` finds when limit > 0).
+    A depth-first walk over the subsets carries the ascending-walk bit-set of
+    the current prefix.  The walk only grows as elements are appended, and
+    every value it reaches is an ordered sum of distinct elements, so once a
+    prefix of d elements ending in `a` reaches the whole group, all
+    C(n-1-a, size-d) completions are bases and are counted without being
+    visited.  A leaf whose walk falls short is escalated (non-abelian groups
+    only).
+
+    Returns the number of subsets certified or examined and the non-bases
+    found (stopping after `limit` finds when limit > 0).
     """
-    size, start, stop, limit = args
-    n = _SCAN["n"]
-    t0 = _SCAN["t0"]
-    t1 = _SCAN["t1"]
-    bit = _SCAN["bit"]
-    full = _SCAN["full"]
-    abelian = _SCAN["abelian"]
-    m0 = (1 << _TWO_CHUNK_BITS) - 1
-    c0 = _TWO_CHUNK_BITS
+    size, cap, limit = args
+    g = _SCAN["g"]
+    n = g.n
+    full = g.full_mask
+    escalate = not g.is_abelian
+    chunk_bits, tables = g._chunk_tables
+    chunk_mask = (1 << chunk_bits) - 1
+    shifts = range(0, n, chunk_bits)
+    comb = math.comb
     checked = 0
     found: list[tuple[int, ...]] = []
-    for comb in islice(combinations(range(1, n), size), start, stop):
-        checked += 1
-        r = 0
-        for a in comb:
-            r |= t0[a][r & m0] | t1[a][r >> c0] | bit[a]
-            if r == full:
+    if cap <= 0:
+        return checked, found
+    last = size - 1
+    path = [0] * size
+    reach = [0]
+    stack = [iter(range(1, n - last))]
+    while stack:
+        d = len(stack) - 1
+        r = reach[d]
+        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & chunk_mask)]
+        for a in stack[d]:
+            per = tables[a]
+            x = r | 1 << a
+            for c, v in chunks:
+                x |= per[c][v]
+            if x == full:
+                checked += comb(n - 1 - a, last - d)
+                if checked >= cap:
+                    return cap, found
+                continue
+            path[d] = a
+            if d < last:
+                reach.append(x)
+                stack.append(iter(range(a + 1, n - last + d + 1)))
                 break
-        if r == full:
-            continue
-        if not abelian and _scan_escalate(comb):
-            continue
-        found.append(comb)
-        if limit and len(found) >= limit:
-            break
+            checked += 1
+            members = tuple(path)
+            if not (escalate and _scan_escalate(members)):
+                found.append(members)
+                if limit and len(found) >= limit:
+                    return checked, found
+            if checked >= cap:
+                return checked, found
+        else:
+            stack.pop()
+            reach.pop()
     return checked, found
 
 
@@ -339,50 +340,19 @@ def find_nonbases(
 
     Returns (subsets checked, non-bases found, complete) where complete means
     the scan either covered every subset or stopped early at the find limit.
-    A budget caps the number of subsets examined.
+    A budget caps the number of subsets examined or certified.  `jobs` is
+    accepted but unused: the scan is serial.
     """
     if not 0 <= size <= g.n - 1:
         return 0, [], True
     total = math.comb(g.n - 1, size)
     cap = total if budget is None else min(total, budget)
-    if g.n > _TWO_CHUNK_MAX:
-        checked = 0
-        found: list[tuple[int, ...]] = []
-        for comb in islice(combinations(range(1, g.n), size), 0, cap):
-            checked += 1
-            if not covers_group(g, comb, mask_limit):
-                found.append(comb)
-                if limit and len(found) >= limit:
-                    return checked, found, True
-        return checked, found, cap >= total
     if size == 0:
-        return 1, [()] , True
-    if jobs <= 1 or cap < 50_000:
-        _scan_init(g.op, g.n, g.is_abelian, mask_limit)
-        checked, found = _scan_task((size, 0, cap, limit))
-        complete = cap >= total or (limit and len(found) >= limit)
-        return checked, found, bool(complete)
-    parts = jobs * 3
-    bounds = [cap * i // parts for i in range(parts + 1)]
-    tasks = [
-        (size, bounds[i], bounds[i + 1], limit)
-        for i in range(parts)
-        if bounds[i] < bounds[i + 1]
-    ]
-    checked = 0
-    found = []
-    stopped_early = False
-    with multiprocessing.Pool(
-        jobs, initializer=_scan_init, initargs=(g.op, g.n, g.is_abelian, mask_limit)
-    ) as pool:
-        for part_checked, part_found in pool.imap(_scan_task, tasks):
-            checked += part_checked
-            if part_found:
-                found.extend(part_found)
-                if limit and len(found) >= limit:
-                    stopped_early = True
-                    break
-    complete = stopped_early or cap >= total
+        checked, found = (1, [()]) if cap > 0 else (0, [])
+    else:
+        _SCAN.update(g=g, mask_limit=mask_limit)
+        checked, found = _scan_task((size, cap, limit))
+    complete = cap >= total or (limit and len(found) >= limit)
     return checked, found, bool(complete)
 
 
@@ -399,7 +369,7 @@ def cr_exhaustive(
     adjusted until every subset of size t is a basis while some subset of
     size t - 1 is not; downward closure of non-bases makes that value exact.
     If the budget runs out first, a partial certificate with bounds only is
-    returned.
+    returned.  `jobs` is accepted but unused: the scan is serial.
     """
     t_start = time.perf_counter()
     n = g.n
@@ -445,9 +415,7 @@ def cr_exhaustive(
 
     while True:
         if t <= n - 1:
-            checked, found, complete = find_nonbases(
-                g, t, jobs=jobs, budget=remaining(), limit=1
-            )
+            checked, found, complete = find_nonbases(g, t, budget=remaining(), limit=1)
             checked_total += checked
             if found:
                 known[t] = found[0]
@@ -459,9 +427,7 @@ def cr_exhaustive(
             value = t
             witness = known.get(t - 1, ())
             break
-        checked, found, complete = find_nonbases(
-            g, t - 1, jobs=1, budget=remaining(), limit=1
-        )
+        checked, found, complete = find_nonbases(g, t - 1, budget=remaining(), limit=1)
         checked_total += checked
         if found:
             known[t - 1] = found[0]

@@ -45,9 +45,15 @@ def fixed_order_reach_mask(g: GroupTable, order: Sequence[int]) -> int:
 
 
 def _alt_orders(members: Sequence[int]) -> list[list[int]]:
-    """Reversal plus four shuffles deterministically seeded from the subset."""
+    """Reversal plus four shuffles deterministically seeded from the subset.
+
+    Members are encoded at one common width, a single byte each while every
+    member is below 256; the seed only picks the shuffles, so it must be
+    deterministic but need not be unique.
+    """
     orders = [list(reversed(members))]
-    rng = random.Random(zlib.crc32(bytes(members)))
+    width = max(1, (max(members, default=0).bit_length() + 7) // 8)
+    rng = random.Random(zlib.crc32(b"".join(m.to_bytes(width, "big") for m in members)))
     for _ in range(4):
         order = list(members)
         rng.shuffle(order)

@@ -70,6 +70,13 @@ def test_c02_order27_critical_number_is_10(name):
     report("2", f"cr({name}) = 10 over C(26,10) subsets + size-9 witness in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("name", ORDER27_NAMES)
+def test_c02_order27_certificate_counts_each_subset_once(name):
+    # the scan certifies each size-10 subset exactly once; the witness adds one
+    cert = cr_exhaustive(catalog_group(name), jobs=JOBS)
+    assert cert.subsets_checked == math.comb(26, 10) + 1
+
+
 T13_FAMILY = ["D4", "D5", "D6", "D7", "D8", "Dic2", "Dic3", "Dic4", "Z2xD3", "Z2xD4"]
 
 

@@ -183,6 +183,15 @@ def test_verify_cache_replay(capsys):
     assert first == second
 
 
+def test_cache_key_ignores_jobs(capsys, tmp_path):
+    code, first, _ = run(capsys, "cr", "exact", "--group", "D4", "--jobs", "1")
+    assert code == 0
+    code, second, _ = run(capsys, "cr", "exact", "--group", "D4", "--jobs", "2")
+    assert code == 0
+    assert second == first
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+
 def test_pretty_output(capsys):
     code, out, _ = run(capsys, "--pretty", "cr", "formula", "--group", "D7")
     assert code == 0

@@ -1,11 +1,12 @@
 """Critical-number certificates: exhaustive, formula, witness, sampled."""
 
+import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
-from critnum.catalog import catalog_group
+from critnum.catalog import catalog_group, catalog_init
 from critnum.critical import (
     CrCertificate,
     cr_exhaustive,
@@ -23,7 +24,7 @@ from critnum.groups import (
     subgroup_closure,
     subgroups_of_index,
 )
-from critnum.sumsets import covers_group, exact_reach_mask
+from critnum.sumsets import covers_group, exact_reach_mask, fixed_order_reach_mask
 
 
 def brute_cr(g):
@@ -157,6 +158,61 @@ def test_find_nonbases_empty_set_is_nonbasis():
     checked, found, complete = find_nonbases(cyclic(5), 0)
     assert found == [()]
     assert complete
+
+
+def reference_nonbases(g, size, budget, limit, bases=None):
+    """Oracle: every subset in lexicographic order, each checked by covers_group."""
+    if bases is None:
+        bases = [covers_group(g, c) for c in combinations(range(1, g.n), size)]
+    total = len(bases)
+    cap = total if budget is None else min(total, budget)
+    checked, found = 0, []
+    for comb, ok in islice(zip(combinations(range(1, g.n), size), bases), cap):
+        checked += 1
+        if not ok:
+            found.append(comb)
+            if limit and len(found) >= limit:
+                break
+    return checked, found, cap >= total or bool(limit and len(found) >= limit)
+
+
+def test_find_nonbases_matches_per_subset_reference():
+    for entry in catalog_init():
+        if entry.order > 15:
+            continue
+        g = catalog_group(entry.name)
+        for size in range(g.n):
+            bases = [covers_group(g, c) for c in combinations(range(1, g.n), size)]
+            total = len(bases)
+            for limit in (0, 1, 8):
+                for budget in (None, 1, 7, total // 3, total - 1):
+                    got = find_nonbases(g, size, budget=budget, limit=limit)
+                    want = reference_nonbases(g, size, budget, limit, bases)
+                    assert got == want, (entry.name, size, limit, budget)
+
+
+@pytest.mark.parametrize("name,size", [("Z9", 5), ("D6", 7), ("A4", 6)])
+def test_budget_ending_inside_pruned_subtree(name, size):
+    # the first prefix whose ascending walk already covers G roots a subtree
+    # the scan certifies without visiting; a budget ending inside it must
+    # certify exactly that subtree's first ranks
+    g = catalog_group(name)
+    combs = list(combinations(range(1, g.n), size))
+    for rank, comb in enumerate(combs):
+        depth = next(
+            (d for d in range(1, size) if fixed_order_reach_mask(g, comb[:d]) == g.full_mask),
+            None,
+        )
+        if depth is not None and math.comb(g.n - 1 - comb[depth - 1], size - depth) >= 3:
+            break
+    else:
+        pytest.fail("no pruned subtree of three or more subsets")
+    a = comb[depth - 1]
+    assert combs[rank] == comb[:depth] + tuple(range(a + 1, a + 1 + size - depth))
+    budget = rank + 2
+    got = find_nonbases(g, size, budget=budget, limit=0)
+    assert got == reference_nonbases(g, size, budget, 0)
+    assert got[0] == budget
 
 
 def test_cr_exhaustive_budget_partial():

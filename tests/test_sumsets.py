@@ -1,6 +1,7 @@
 """Subset-sum closures checked against permutation brute force."""
 
 import random
+import zlib
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from critnum.groups import ElementSet, cyclic, dihedral, dicyclic, heisenberg
 from critnum.sumsets import (
     CapacityError,
+    _alt_orders,
+    covers_group,
     exact_reach_mask,
     fixed_order_reach_mask,
     fold_cd,
@@ -247,3 +250,19 @@ def test_capacity_error():
     # dense non-abelian sets without the by-cardinality request take the
     # fixed-order shortcut and never hit the mask limit
     assert sigma(g, g.subset(range(1, 27))).full.bits == g.full_mask
+
+
+def test_alt_orders_accept_elements_above_255():
+    # members above 255 take more than one byte in the shuffle seed
+    assert not covers_group(dihedral(150), [1, 2, 280])
+
+
+def test_alt_orders_seed_unchanged_below_256():
+    members = (3, 17, 128, 200, 255)
+    rng = random.Random(zlib.crc32(bytes(members)))
+    expected = [list(reversed(members))]
+    for _ in range(4):
+        order = list(members)
+        rng.shuffle(order)
+        expected.append(order)
+    assert _alt_orders(members) == expected
