@@ -15,11 +15,13 @@ from .groups import (
     is_prime,
     load_cayley,
     make_group,
+    prime_divisors,
     quotient,
     save_cayley,
     semidirect_cyclic,
     smallest_prime_divisor,
     subgroup_closure,
+    subgroup_mask,
     subgroups_of_index,
 )
 from .sumsets import (

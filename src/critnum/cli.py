@@ -12,15 +12,25 @@ from . import catalog as cat
 from . import verifiers as ver
 from .cache import ResultCache
 from .critical import (
+    DEFAULT_SEED,
     cr_exhaustive,
     cr_formula,
     cr_sampled_upper,
     resolving_sequence,
     witness_lower_bound,
 )
-from .groups import ElementSet, GroupValidationError, load_cayley, make_group, save_cayley
+from .groups import (
+    ElementSet,
+    GroupValidationError,
+    is_prime,
+    load_cayley,
+    make_group,
+    save_cayley,
+    smallest_prime_divisor,
+    subgroup_mask,
+)
 from .sumsets import sigma
-from .verifiers import DEFAULT_SEED, DEFAULT_TRIALS
+from .verifiers import DEFAULT_TRIALS
 
 
 def _print_json(obj: dict, pretty: bool) -> None:
@@ -136,11 +146,15 @@ def _run_verify(args) -> list[dict]:
         reports = [ver.verify_L2_1(g, mode=args.mode, trials=args.trials, seed=args.seed)]
     elif lemma == "L2.2":
         g = cat.resolve_group(_require_group(args))
-        from .groups import smallest_prime_divisor
-
-        p = smallest_prime_divisor(g.n)
+        p = smallest_prime_divisor(g.n) if g.n > 1 else 1
         q = g.n // p
-        which = "product" if "x" in g.name else "cyclic"
+        if not (g.is_abelian and is_prime(q)):
+            raise ValueError(
+                f"verify L2.2 needs an abelian group of order pq, got {g.name} of order {g.n}"
+            )
+        # abelian of order pq: cyclic exactly when one element generates it
+        is_cyclic = any(subgroup_mask(g, 1 << x) == g.full_mask for x in g.elements())
+        which = "cyclic" if is_cyclic else "product"
         reports = [
             ver.verify_L2_2(
                 p, q, which, mode=args.mode, trials=args.trials, seed=args.seed, jobs=args.jobs

@@ -9,23 +9,19 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (
+    CHUNK_BITS,
+    CHUNK_MASK,
     ElementSet,
     GroupTable,
     SubgroupInfo,
     is_nilpotent,
     is_prime,
+    prime_divisors,
     smallest_prime_divisor,
-    subgroup_closure,
+    subgroup_mask,
     subgroups_of_index,
 )
-from .sumsets import (
-    DEFAULT_MASK_LIMIT,
-    _alt_orders,
-    _state_search,
-    covers_group,
-    exact_reach_mask,
-    fixed_order_reach_mask,
-)
+from .sumsets import DEFAULT_MASK_LIMIT, covers_group, exact_reach_mask, lambda_bits
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -83,21 +79,6 @@ class ResolvingSequence:
     prefix_sizes: tuple[int, ...]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _is_composite(m: int) -> bool:
     return m > 1 and not is_prime(m)
 
@@ -142,7 +123,7 @@ def cr_formula(g: GroupTable) -> Optional[CrCertificate]:
     elif (
         p >= 149
         and n >= 120 * p * p
-        and all(q > 6 * p for q in _prime_divisors(n) if q != p)
+        and all(q > 6 * p for q in prime_divisors(n) if q != p)
         and bool(subgroups_of_index(g, p))
     ):
         tag, value = "T1.1ii", base
@@ -251,16 +232,8 @@ _SCAN: dict = {}
 
 
 def _scan_escalate(members: tuple[int, ...]) -> bool:
-    """Slow-path cover check (alternative orders, then the complete search)."""
-    g = _SCAN["g"]
-    full = g.full_mask
-    for order in _alt_orders(members):
-        if fixed_order_reach_mask(g, order) == full:
-            return True
-    reached, _ = _state_search(
-        g.op, g.n, full, members, _SCAN["mask_limit"], stop_at_full=True
-    )
-    return reached == full
+    """Slow-path cover check of a leaf whose ascending walk fell short."""
+    return covers_group(_SCAN["g"], members, _SCAN["mask_limit"])
 
 
 def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
@@ -282,9 +255,8 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     n = g.n
     full = g.full_mask
     escalate = not g.is_abelian
-    chunk_bits, tables = g._chunk_tables
-    chunk_mask = (1 << chunk_bits) - 1
-    shifts = range(0, n, chunk_bits)
+    tables = g._chunk_tables
+    shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
     checked = 0
     found: list[tuple[int, ...]] = []
@@ -297,7 +269,7 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     while stack:
         d = len(stack) - 1
         r = reach[d]
-        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & chunk_mask)]
+        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
         for a in stack[d]:
             per = tables[a]
             x = r | 1 << a
@@ -538,15 +510,13 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
     ordering = [0] * k
     lambdas = [0] * k
     prefix_sizes = [0] * k
-    translate = g.translate
     current = list(members)
     for i in range(k, 0, -1):
         b = exact_reach_mask(g, current)
-        not_b = ~b
         best_y = -1
         best_lam = -1
         for y in current:
-            lam = (translate(b, y) & not_b).bit_count()
+            lam = lambda_bits(g, b, y)
             if lam > best_lam:
                 best_lam = lam
                 best_y = y
@@ -555,9 +525,10 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
         prefix_sizes[i - 1] = b.bit_count()
         current.remove(best_y)
     t = 1
+    prefix = x.bits
     for j in range(k - 1, 0, -1):
-        carrier = subgroup_closure(g, ElementSet.from_indices(g, ordering[:j])).carrier
-        if len(carrier) < g.n:
+        prefix &= ~(1 << ordering[j])
+        if subgroup_mask(g, prefix) != g.full_mask:
             t = j + 1
             break
     return ResolvingSequence(

@@ -13,19 +13,6 @@ class GroupValidationError(ValueError):
     """A multiplication table violates one of the group axioms."""
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def smallest_prime_divisor(n: int) -> int:
     """Smallest prime dividing n (n must be at least 2)."""
     if n < 2:
@@ -40,26 +27,48 @@ def smallest_prime_divisor(n: int) -> int:
     return n
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    while n > 1:
+        p = smallest_prime_divisor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
+def is_prime(m: int) -> bool:
+    return m >= 2 and smallest_prime_divisor(m) == m
+
+
+# bit-set chunk width of the translate lookup tables
+CHUNK_BITS = 9
+CHUNK_MASK = (1 << CHUNK_BITS) - 1
+
+
 def chunked_translation_tables(
-    op: Sequence[Sequence[int]], n: int, chunk_bits: int
+    op: Sequence[Sequence[int]], n: int
 ) -> list[list[list[int]]]:
     """Per-element lookup tables mapping bit-set chunks to their right translates.
 
     tables[x][c][v] is the translate {y + x : y in chunk c with pattern v},
-    so a full translate is the OR of one lookup per chunk.
+    so a full translate is the OR of one lookup per chunk.  Equal entries are
+    one shared int object: most translates recur across elements and chunks,
+    so sharing keeps the tables several times smaller.
     """
-    nchunks = (n + chunk_bits - 1) // chunk_bits
+    share = {}.setdefault
     tables: list[list[list[int]]] = []
     for x in range(n):
         col = [op[y][x] for y in range(n)]
         per_chunk = []
-        for c in range(nchunks):
-            base = c * chunk_bits
-            width = min(chunk_bits, n - base)
-            tab = [0] * (1 << width)
-            for v in range(1, 1 << width):
-                low = (v & -v).bit_length() - 1
-                tab[v] = tab[v & (v - 1)] | (1 << col[base + low])
+        for base in range(0, n, CHUNK_BITS):
+            # doubling: the patterns with bit i set are those without it, plus y + x
+            tab = [0]
+            for y in col[base : base + CHUNK_BITS]:
+                bit = 1 << y
+                grown = [t | bit for t in tab]
+                tab += map(share, grown, grown)
             per_chunk.append(tab)
         tables.append(per_chunk)
     return tables
@@ -100,19 +109,17 @@ class GroupTable:
         return True
 
     @cached_property
-    def _chunk_tables(self) -> tuple[int, list[list[list[int]]]]:
-        bits = 9
-        return bits, chunked_translation_tables(self.op, self.n, bits)
+    def _chunk_tables(self) -> list[list[list[int]]]:
+        return chunked_translation_tables(self.op, self.n)
 
     def translate(self, bits: int, x: int) -> int:
         """Right translate of a bit-set: {y + x : y in bits}."""
-        chunk_bits, tables = self._chunk_tables
-        per = tables[x]
         out = 0
-        for c, tab in enumerate(per):
-            v = (bits >> (c * chunk_bits)) & ((1 << chunk_bits) - 1)
+        for tab in self._chunk_tables[x]:
+            v = bits & CHUNK_MASK
             if v:
                 out |= tab[v]
+            bits >>= CHUNK_BITS
         return out
 
     def subset(self, indices: Iterable[int]) -> "ElementSet":
@@ -481,32 +488,22 @@ def load_cayley(text: str) -> GroupTable:
 # subgroup machinery
 
 
-def _closure_mask(g: GroupTable, seed_bits: int) -> int:
-    """Bit-set of the subgroup generated by the seed elements."""
-    op = g.op
-    members = [0]
-    mask = 1
-    queue = []
-    b = seed_bits
-    while b:
-        low = (b & -b).bit_length() - 1
-        b &= b - 1
-        if not mask >> low & 1:
-            mask |= 1 << low
-            members.append(low)
-            queue.append(low)
-    head = 0
-    new = list(queue)
-    while head < len(new):
-        x = new[head]
-        head += 1
-        for y in list(members):
-            for z in (op[x][y], op[y][x]):
-                if not mask >> z & 1:
-                    mask |= 1 << z
-                    members.append(z)
-                    new.append(z)
-    return mask
+def subgroup_mask(g: GroupTable, bits: int) -> int:
+    """Bit-set of the subgroup generated by the elements of a bit-set.
+
+    The least set holding 0 that is closed under right translation by each
+    generator: in a finite group every inverse is a positive power, so that
+    set is already the subgroup.
+    """
+    gens = [x for x in range(1, g.n) if bits >> x & 1]
+    translate = g.translate
+    h = 1
+    while True:
+        prev = h
+        for x in gens:
+            h |= translate(h, x)
+        if h == prev:
+            return h
 
 
 def _is_normal_mask(g: GroupTable, mask: int) -> bool:
@@ -524,7 +521,7 @@ def _is_normal_mask(g: GroupTable, mask: int) -> bool:
 
 def subgroup_closure(g: GroupTable, gens: ElementSet) -> SubgroupInfo:
     """Smallest subgroup containing the generators, with normality computed."""
-    mask = _closure_mask(g, gens.bits)
+    mask = subgroup_mask(g, gens.bits)
     size = mask.bit_count()
     return SubgroupInfo(
         carrier=ElementSet(g, mask),
@@ -543,7 +540,7 @@ def _all_subgroup_masks(g: GroupTable) -> tuple[int, ...]:
         for x in range(1, g.n):
             if base >> x & 1:
                 continue
-            mask = _closure_mask(g, base | (1 << x))
+            mask = subgroup_mask(g, base | (1 << x))
             if mask not in found:
                 found.add(mask)
                 frontier.append(mask)

@@ -64,21 +64,9 @@ def _alt_orders(members: Sequence[int]) -> list[list[int]]:
 def _dp_covers(g: GroupTable, members: Sequence[int]) -> bool:
     """Tiered fixed-order probes: input order, then reversal and seeded shuffles."""
     full = g.full_mask
-    translate = g.translate
-    r = 0
-    for a in members:
-        r |= translate(r, a) | (1 << a)
-        if r == full:
-            return True
-    if g.is_abelian or not members:
-        return False
-    for order in _alt_orders(members):
-        r = 0
-        for a in order:
-            r |= translate(r, a) | (1 << a)
-            if r == full:
-                return True
-    return False
+    return fixed_order_reach_mask(g, members) == full or any(
+        fixed_order_reach_mask(g, order) == full for order in _alt_orders(members)
+    )
 
 
 def _state_search(
@@ -141,30 +129,36 @@ def _state_search(
     return reached, levels
 
 
+def _closure(
+    g: GroupTable, members: Sequence[int], mask_limit: int
+) -> tuple[int, bool]:
+    """The exact closure as a bit-set, with the `SumsetClosure.exact` flag.
+
+    Abelian groups take the fixed-order walk, which is exact for them.  In a
+    non-abelian group a walk order that covers the group settles the set
+    (flag False: the complete search was skipped); the complete search
+    decides the rest.
+    """
+    if g.is_abelian:
+        return fixed_order_reach_mask(g, members), True
+    if _dp_covers(g, members):
+        return g.full_mask, False
+    reached, _ = _state_search(g.op, g.n, g.full_mask, members, mask_limit, stop_at_full=True)
+    return reached, True
+
+
 def exact_reach_mask(
     g: GroupTable, members: Sequence[int], mask_limit: int = DEFAULT_MASK_LIMIT
 ) -> int:
     """The exact closure as a bit-set, taking the cheapest sound route."""
-    members = tuple(members)
-    if g.is_abelian:
-        return fixed_order_reach_mask(g, members)
-    if _dp_covers(g, members):
-        return g.full_mask
-    reached, _ = _state_search(g.op, g.n, g.full_mask, members, mask_limit, stop_at_full=True)
-    return reached
+    return _closure(g, tuple(members), mask_limit)[0]
 
 
 def covers_group(
     g: GroupTable, members: Sequence[int], mask_limit: int = DEFAULT_MASK_LIMIT
 ) -> bool:
     """Whether the closure of the given elements is the whole group."""
-    members = tuple(members)
-    if _dp_covers(g, members):
-        return True
-    if g.is_abelian:
-        return False
-    reached, _ = _state_search(g.op, g.n, g.full_mask, members, mask_limit, stop_at_full=True)
-    return reached == g.full_mask
+    return exact_reach_mask(g, members, mask_limit) == g.full_mask
 
 
 def _levels_abelian(g: GroupTable, members: Sequence[int]) -> list[int]:
@@ -190,24 +184,18 @@ def sigma(
 ) -> SumsetClosure:
     """Closure of `s` under sums of distinct elements taken in any order."""
     members = s.indices()
-    k = len(members)
-    if g.is_abelian:
-        if want_by_cardinality:
-            levels = _levels_abelian(g, members)
-            full_bits = 0
-            for lv in levels:
-                full_bits |= lv
-            by_card = {r: ElementSet(g, levels[r]) for r in range(1, k + 1)}
-            return SumsetClosure(ElementSet(g, full_bits), by_card, True)
-        return SumsetClosure(ElementSet(g, fixed_order_reach_mask(g, members)), None, True)
     if not want_by_cardinality:
-        if _dp_covers(g, members):
-            return SumsetClosure(ElementSet(g, g.full_mask), None, False)
-        reached, _ = _state_search(g.op, g.n, g.full_mask, members, mask_limit, stop_at_full=True)
-        return SumsetClosure(ElementSet(g, reached), None, True)
-    reached, levels = _state_search(g.op, g.n, g.full_mask, members, mask_limit, want_levels=True)
-    assert levels is not None
-    by_card = {r: ElementSet(g, levels[r]) for r in range(1, k + 1)}
+        reached, exact = _closure(g, members, mask_limit)
+        return SumsetClosure(ElementSet(g, reached), None, exact)
+    if g.is_abelian:
+        levels = _levels_abelian(g, members)
+    else:
+        _, levels = _state_search(g.op, g.n, g.full_mask, members, mask_limit, want_levels=True)
+        assert levels is not None
+    reached = 0
+    for lv in levels:
+        reached |= lv
+    by_card = {r: ElementSet(g, levels[r]) for r in range(1, len(members) + 1)}
     return SumsetClosure(ElementSet(g, reached), by_card, True)
 
 
@@ -218,12 +206,9 @@ def sigma_r(
     k = len(s)
     if not 1 <= r <= k:
         raise ValueError(f"cardinality r={r} out of range 1..{k}")
-    members = s.indices()
-    if g.is_abelian:
-        return ElementSet(g, _levels_abelian(g, members)[r])
-    _, levels = _state_search(g.op, g.n, g.full_mask, members, mask_limit, want_levels=True)
-    assert levels is not None
-    return ElementSet(g, levels[r])
+    by_card = sigma(g, s, want_by_cardinality=True, mask_limit=mask_limit).by_cardinality
+    assert by_card is not None
+    return by_card[r]
 
 
 def sumset_bits(g: GroupTable, a_bits: int, b_bits: int) -> int:
@@ -247,11 +232,7 @@ def sumset(g: GroupTable, a: ElementSet, b: ElementSet) -> ElementSet:
 
 def fold_cd(g: GroupTable, elements: Sequence[int]) -> ElementSet:
     """Left-to-right fold of sumsets with {0, e} for each listed element."""
-    translate = g.translate
-    r = 1
-    for e in elements:
-        r |= translate(r, e)
-    return ElementSet(g, r)
+    return ElementSet(g, fixed_order_reach_mask(g, elements) | 1)
 
 
 def lambda_bits(g: GroupTable, b_bits: int, x: int) -> int:

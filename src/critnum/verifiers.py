@@ -10,17 +10,19 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .catalog import ORDER27_NAMES, catalog_group, catalog_init, resolve_group
-from .critical import cr_exhaustive, cr_formula, find_nonbases, resolving_sequence
-from .groups import ElementSet, GroupTable, cyclic, direct_product, is_prime, subgroup_closure
+from .critical import DEFAULT_SEED, cr_exhaustive, cr_formula, find_nonbases, resolving_sequence
+from .groups import ElementSet, GroupTable, cyclic, direct_product, is_prime, subgroup_mask
 from .sumsets import (
+    covers_group,
     exact_reach_mask,
     fixed_order_reach_mask,
+    fold_cd,
     lambda_bits,
     sigma_r,
+    sumset_bits,
 )
 
 DEFAULT_TRIALS = 10_000
-DEFAULT_SEED = 0xC0FFEE
 
 LEMMA_IDS = (
     "L2.1",
@@ -105,20 +107,7 @@ def verify_L2_1(
     t0 = time.perf_counter()
     n = g.n
     full = g.full_mask
-    translate = g.translate
     mode = _pick_mode(mode, g, 10)
-
-    def pair_ok(a_bits: int, b_bits: int) -> bool:
-        out = 0
-        b = b_bits
-        while b:
-            x = (b & -b).bit_length() - 1
-            b &= b - 1
-            out |= translate(a_bits, x)
-            if out == full:
-                return True
-        return False
-
     cases = 0
     failures: list[dict] = []
     if mode == "exhaustive":
@@ -132,7 +121,7 @@ def verify_L2_1(
                 for a_bits in by_size[sa]:
                     for b_bits in by_size[sb]:
                         cases += 1
-                        if not pair_ok(a_bits, b_bits):
+                        if sumset_bits(g, a_bits, b_bits) != full:
                             failures.append({"A": _bits_list(a_bits), "B": _bits_list(b_bits)})
         report_trials = None
     else:
@@ -143,7 +132,7 @@ def verify_L2_1(
             a_bits = sum(1 << i for i in rng.sample(range(n), sa))
             b_bits = sum(1 << i for i in rng.sample(range(n), sb))
             cases += 1
-            if not pair_ok(a_bits, b_bits):
+            if sumset_bits(g, a_bits, b_bits) != full:
                 failures.append({"A": _bits_list(a_bits), "B": _bits_list(b_bits)})
         report_trials = trials
     return VerificationReport(
@@ -201,8 +190,6 @@ def verify_L2_2(
         rng = _group_rng(seed, g)
         checked = 0
         complete = True
-        from .sumsets import covers_group
-
         for _ in range(trials):
             comb = tuple(sorted(rng.sample(range(1, g.n), size)))
             checked += 1
@@ -266,7 +253,7 @@ def verify_L2_3(
         gen_sets = []
         for size in range(1, s_cap + 1):
             for comb in combinations(range(1, n), size):
-                if len(subgroup_closure(g, ElementSet.from_indices(g, comb)).carrier) == n:
+                if subgroup_mask(g, sum(1 << i for i in comb)) == g.full_mask:
                     gen_sets.append(comb)
                 else:
                     skipped += 1
@@ -286,7 +273,7 @@ def verify_L2_3(
         s_cap = min(8, n - 1) if max_set_size is None else min(max_set_size, n - 1)
         for _ in range(trials):
             s_members = tuple(sorted(rng.sample(range(1, n), rng.randint(1, s_cap))))
-            if len(subgroup_closure(g, ElementSet.from_indices(g, s_members)).carrier) != n:
+            if subgroup_mask(g, sum(1 << i for i in s_members)) != g.full_mask:
                 skipped += 1
                 continue
             b_size = rng.randint(1, b_cap)
@@ -632,7 +619,7 @@ def verify_ineq_2_4(
         if 2 * total >= n:
             skipped += 1
             continue
-        if len(subgroup_closure(g, ElementSet.from_indices(g, members)).carrier) != n:
+        if subgroup_mask(g, sum(1 << i for i in members)) != g.full_mask:
             skipped += 1
             continue
         rs = resolving_sequence(g, ElementSet.from_indices(g, members))
@@ -675,14 +662,9 @@ def verify_cd_fold(qs: Sequence[int] = (2, 3, 5, 7)) -> VerificationReport:
         if not is_prime(q) or q > 13:
             raise ValueError(f"fold check needs a prime q <= 13, got {q}")
         g = cyclic(q)
-        full = g.full_mask
-        translate = g.translate
         for tup in product(range(1, q), repeat=q - 1):
             cases += 1
-            r = 1
-            for e in tup:
-                r |= translate(r, e)
-            if r != full:
+            if fold_cd(g, tup).bits != g.full_mask:
                 failures.append({"q": q, "elements": list(tup)})
     return VerificationReport(
         lemma_id="CDFOLD",

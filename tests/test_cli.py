@@ -70,6 +70,31 @@ def test_verify_pass_exit_zero(capsys):
     assert report["failures"] == []
 
 
+def test_verify_l22_rejects_groups_not_abelian_of_order_pq(capsys):
+    for name in ("D5", "Z27"):
+        code, out, err = run(capsys, "verify", "L2.2", "--group", name, "--no-cache")
+        assert code == 2 and out == ""
+        assert "order pq" in err
+
+
+@pytest.mark.parametrize("name", ["Z3xZ3", "Z15", "Z9"])
+def test_verify_l22_runs_on_the_named_group(capsys, name):
+    code, out, _ = run(capsys, "verify", "L2.2", "--group", name, "--no-cache")
+    assert code == 0
+    report = json.loads(out)
+    assert report["group_name"] == name
+    assert report["failures"] == [] and report["complete"]
+
+
+def test_verify_l22_picks_the_group_by_element_order(capsys):
+    # Z3 x Z3 under a name without "x": it has no element of order 9
+    code, out, _ = run(
+        capsys, "verify", "L2.2", "--group", "semidirect_cyclic(3,3,1)", "--no-cache"
+    )
+    assert code == 0
+    assert json.loads(out)["group_name"] == "Z3xZ3"
+
+
 def test_verify_l26_single_group(capsys):
     code, out, _ = run(
         capsys, "verify", "L2.6", "--group", "Z27", "--budget", "2000", "--jobs", "1"

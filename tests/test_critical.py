@@ -67,6 +67,17 @@ def test_cr_exhaustive_frozen_values(name):
     assert cert.value == KNOWN_CR[name]
 
 
+@pytest.mark.slow
+def test_cr_z45_exact_is_16():
+    # about a minute on one core: every size-16 subset of Z45 is read through
+    # the shared translate tables; run with `pytest -m slow`
+    g = catalog_group("Z45")
+    cert = cr_exhaustive(g)
+    assert cert.value == cert.lower_bound == cert.upper_bound == 16
+    assert cert.subsets_checked >= math.comb(44, 16)
+    assert len(cert.witness) == 15 and not covers_group(g, cert.witness)
+
+
 def test_certificate_witness_replayable():
     g = catalog_group("Z9")
     cert = cr_exhaustive(g)

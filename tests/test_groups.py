@@ -5,23 +5,30 @@ from itertools import combinations, product
 
 import pytest
 
+from critnum.catalog import CATALOG_DESCRIPTORS, catalog_group
 from critnum.groups import (
+    CHUNK_BITS,
     ElementSet,
     GroupValidationError,
+    _all_subgroup_masks,
     center,
+    chunked_translation_tables,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
     heisenberg,
     is_nilpotent,
+    is_prime,
     load_cayley,
     make_group,
+    prime_divisors,
     quotient,
     save_cayley,
     semidirect_cyclic,
     smallest_prime_divisor,
     subgroup_closure,
+    subgroup_mask,
     subgroups_of_index,
 )
 
@@ -319,6 +326,75 @@ def test_smallest_prime_divisor():
     assert smallest_prime_divisor(97) == 97
     with pytest.raises(ValueError):
         smallest_prime_divisor(1)
+
+
+def test_prime_divisors_and_is_prime_match_trial_division():
+    for n in range(1, 400):
+        want = [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
+        assert prime_divisors(n) == want
+        assert is_prime(n) == (want == [n])
+    assert prime_divisors(45) == [3, 5]
+    assert not is_prime(0) and not is_prime(1)
+
+
+# ---------------------------------------------------------------------------
+# the subgroup closure engine against an independent breadth-first closure
+
+# number of subgroups of each catalog group of order <= 32
+SUBGROUP_COUNTS = {
+    "Z4": 3, "Z6": 4, "D3": 6, "Z8": 4, "D4": 10, "Dic2": 6, "Z9": 3, "Z3xZ3": 6,
+    "Z10": 4, "D5": 8, "D6": 16, "Dic3": 8, "Z2xD3": 16, "A4": 10, "D7": 10, "Z15": 4,
+    "D8": 19, "Dic4": 11, "Z2xD4": 35, "SD16": 15, "M16": 11, "Z21": 4, "Z7:Z3": 10,
+    "Z25": 3, "Z27": 4, "Z9xZ3": 10, "Z3xZ3xZ3": 28, "H27": 19, "Z9:Z3": 10,
+}
+
+
+def _bfs_subgroup(g, bits):
+    """Reference: close {0} and the seed under the group operation, breadth first."""
+    members = [0] + [x for x in range(1, g.n) if bits >> x & 1]
+    mask = sum(1 << x for x in members)
+    head = 0
+    while head < len(members):
+        a = members[head]
+        head += 1
+        for b in list(members):
+            for c in (g.op[a][b], g.op[b][a]):
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    members.append(c)
+    return mask
+
+
+def test_subgroup_count_of_every_small_catalog_group():
+    small = {name: catalog_group(name) for name, _ in CATALOG_DESCRIPTORS}
+    small = {name: g for name, g in small.items() if g.n <= 32}
+    assert {name: len(_all_subgroup_masks(g)) for name, g in small.items()} == SUBGROUP_COUNTS
+
+
+def test_subgroup_mask_matches_breadth_first_closure():
+    rng = random.Random(37)
+    for name in SUBGROUP_COUNTS:
+        g = catalog_group(name)
+        seeds = [h | 1 << x for h in _all_subgroup_masks(g) for x in range(g.n)]
+        seeds += [rng.getrandbits(g.n) for _ in range(30)]
+        for bits in seeds:
+            assert subgroup_mask(g, bits) == _bfs_subgroup(g, bits), (name, bits)
+
+
+def test_shared_translate_tables_equal_unshared_build():
+    for name, _ in CATALOG_DESCRIPTORS:
+        g = catalog_group(name)
+        shared = {}
+        for x, per_chunk in enumerate(chunked_translation_tables(g.op, g.n)):
+            for c, tab in enumerate(per_chunk):
+                base = c * CHUNK_BITS
+                want = [0] * len(tab)
+                for v in range(1, len(tab)):
+                    low = (v & -v).bit_length() - 1
+                    want[v] = want[v & (v - 1)] | (1 << g.op[base + low][x])
+                assert tab == want, (name, x, c)
+                # equal entries are one object
+                assert all(shared.setdefault(t, t) is t for t in tab)
 
 
 # ---------------------------------------------------------------------------

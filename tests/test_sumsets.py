@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from critnum.catalog import catalog_group, catalog_init
 from critnum.groups import ElementSet, cyclic, dihedral, dicyclic, heisenberg
 from critnum.sumsets import (
     CapacityError,
@@ -266,3 +267,29 @@ def test_alt_orders_seed_unchanged_below_256():
         rng.shuffle(order)
         expected.append(order)
     assert _alt_orders(members) == expected
+
+
+def test_closure_routes_match_brute_force_on_nonabelian_catalog_groups():
+    rng = random.Random(43)
+    routes = set()
+    for entry in catalog_init():
+        if entry.abelian:
+            continue
+        g = catalog_group(entry.name)
+        for _ in range(10):
+            members = sorted(rng.sample(range(1, g.n), rng.randint(1, min(6, g.n - 1))))
+            s = g.subset(members)
+            levels = {r: brute_sigma(g, members, r) for r in range(1, len(members) + 1)}
+            want = set().union(*levels.values())
+            covers = len(want) == g.n
+            clo = sigma(g, s)
+            routes.add((covers, clo.exact))
+            assert set(clo.full) == want
+            assert exact_reach_mask(g, members) == g.subset(want).bits
+            assert covers_group(g, members) == covers
+            by_card = sigma(g, s, want_by_cardinality=True).by_cardinality
+            for r, level in levels.items():
+                assert set(by_card[r]) == level
+                assert set(sigma_r(g, s, r)) == level
+    # both the walk-settled and the searched routes were taken
+    assert {(True, False), (False, True)} <= routes
