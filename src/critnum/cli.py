@@ -22,12 +22,9 @@ from .critical import (
 from .groups import (
     ElementSet,
     GroupValidationError,
-    is_prime,
     load_cayley,
     make_group,
     save_cayley,
-    smallest_prime_divisor,
-    subgroup_mask,
 )
 from .sumsets import sigma
 from .verifiers import DEFAULT_TRIALS
@@ -146,19 +143,8 @@ def _run_verify(args) -> list[dict]:
         reports = [ver.verify_L2_1(g, mode=args.mode, trials=args.trials, seed=args.seed)]
     elif lemma == "L2.2":
         g = cat.resolve_group(_require_group(args))
-        p = smallest_prime_divisor(g.n) if g.n > 1 else 1
-        q = g.n // p
-        if not (g.is_abelian and is_prime(q)):
-            raise ValueError(
-                f"verify L2.2 needs an abelian group of order pq, got {g.name} of order {g.n}"
-            )
-        # abelian of order pq: cyclic exactly when one element generates it
-        is_cyclic = any(subgroup_mask(g, 1 << x) == g.full_mask for x in g.elements())
-        which = "cyclic" if is_cyclic else "product"
         reports = [
-            ver.verify_L2_2(
-                p, q, which, mode=args.mode, trials=args.trials, seed=args.seed, jobs=args.jobs
-            )
+            ver.verify_L2_2(g, mode=args.mode, trials=args.trials, seed=args.seed, jobs=args.jobs)
         ]
     elif lemma == "L2.3":
         g = cat.resolve_group(_require_group(args))
@@ -277,6 +263,8 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             upper = record.get("upper_bound")
             if lower is not None and upper is not None and lower > upper:
                 return 1
+            if record.get("method") == "exhaustive" and record.get("value") is None:
+                return 3
             return 0
 
         if args.command == "verify":
@@ -298,7 +286,9 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             reports = stored["reports"]
             for report in reports:
                 _print_json(report, args.pretty)
-            return 1 if any(r.get("failures") for r in reports) else 0
+            if any(r.get("failures") for r in reports):
+                return 1
+            return 0 if all(r["complete"] for r in reports) else 3
 
     except (KeyError, ValueError, GroupValidationError, FileNotFoundError) as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -247,6 +247,14 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     visited.  A leaf whose walk falls short is escalated (non-abelian groups
     only).
 
+    The walk after a prefix depends only on the prefix's walk and the
+    elements appended, so a finished subtree none of whose leaves fell short
+    is recorded in `settled[d]` (keyed by the walk of its d+1-element prefix,
+    valued by that prefix's last element a0).  A later prefix of the same
+    length and walk ending at a >= a0 has a subset of those completions and
+    is counted like a full prefix.  The memo restarts whenever the first
+    element advances, which bounds its size.
+
     Returns the number of subsets certified or examined and the non-bases
     found (stopping after `limit` finds when limit > 0).
     """
@@ -265,26 +273,36 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     last = size - 1
     path = [0] * size
     reach = [0]
+    settled: list[dict[int, int]] = [{} for _ in range(size)]
+    # short leaves seen so far, and the count when each open frame was entered
+    short = 0
+    entered = [0]
     stack = [iter(range(1, n - last))]
     while stack:
         d = len(stack) - 1
         r = reach[d]
+        memo = settled[d]
         chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
         for a in stack[d]:
             per = tables[a]
             x = r | 1 << a
             for c, v in chunks:
                 x |= per[c][v]
-            if x == full:
+            if x == full or memo.get(x, n) <= a:
                 checked += comb(n - 1 - a, last - d)
                 if checked >= cap:
                     return cap, found
                 continue
             path[d] = a
             if d < last:
+                if not d:
+                    for m in settled:
+                        m.clear()
                 reach.append(x)
+                entered.append(short)
                 stack.append(iter(range(a + 1, n - last + d + 1)))
                 break
+            short += 1
             checked += 1
             members = tuple(path)
             if not (escalate and _scan_escalate(members)):
@@ -296,6 +314,10 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
         else:
             stack.pop()
             reach.pop()
+            if entered.pop() == short and d:
+                # a descent happens only when no entry certifies it, so this
+                # a0 is the smallest seen for the walk
+                settled[d - 1][r] = path[d - 1]
     return checked, found
 
 

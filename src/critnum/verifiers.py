@@ -11,7 +11,14 @@ from typing import Optional, Sequence
 
 from .catalog import ORDER27_NAMES, catalog_group, catalog_init, resolve_group
 from .critical import DEFAULT_SEED, cr_exhaustive, cr_formula, find_nonbases, resolving_sequence
-from .groups import ElementSet, GroupTable, cyclic, direct_product, is_prime, subgroup_mask
+from .groups import (
+    ElementSet,
+    GroupTable,
+    cyclic,
+    is_prime,
+    smallest_prime_divisor,
+    subgroup_mask,
+)
 from .sumsets import (
     covers_group,
     exact_reach_mask,
@@ -160,23 +167,19 @@ def _bits_list(bits: int) -> list[int]:
 
 
 def verify_L2_2(
-    p: int,
-    q: int,
-    which_group: str = "cyclic",
+    g: GroupTable,
     mode: Optional[str] = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
 ) -> VerificationReport:
     t0 = time.perf_counter()
-    if not (is_prime(p) and is_prime(q)):
-        raise ValueError(f"need two primes, got ({p}, {q})")
-    if which_group == "cyclic":
-        g = cyclic(p * q)
-    elif which_group == "product":
-        g = direct_product(cyclic(p), cyclic(q))
-    else:
-        raise ValueError(f"which_group must be 'cyclic' or 'product', got {which_group!r}")
+    p = smallest_prime_divisor(g.n) if g.n > 1 else 1
+    q = g.n // p
+    if not (g.is_abelian and is_prime(p) and is_prime(q)):
+        raise ValueError(
+            f"verify L2.2 needs an abelian group of order pq, got {g.name} of order {g.n}"
+        )
     size = p + q - 1
     mode = _pick_mode(mode, g, 35)
     failures: list[dict] = []

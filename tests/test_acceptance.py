@@ -20,7 +20,13 @@ from critnum.critical import (
     resolving_sequence,
     witness_lower_bound,
 )
-from critnum.groups import ElementSet, smallest_prime_divisor, subgroup_closure, subgroups_of_index
+from critnum.groups import (
+    ElementSet,
+    cyclic,
+    smallest_prime_divisor,
+    subgroup_closure,
+    subgroups_of_index,
+)
 from critnum.sumsets import (
     _state_search,
     covers_group,
@@ -112,7 +118,7 @@ def test_c04_order9_closure_floors():
 def test_c05_order_pq_basis_threshold():
     t0 = time.perf_counter()
     for p, q in ((3, 5), (3, 7)):
-        rep = verify_L2_2(p, q, "cyclic", jobs=JOBS)
+        rep = verify_L2_2(cyclic(p * q), jobs=JOBS)
         assert rep.failures == []
         assert rep.cases_checked == math.comb(p * q - 1, p + q - 1)
     elapsed = time.perf_counter() - t0

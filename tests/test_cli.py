@@ -86,24 +86,39 @@ def test_verify_l22_runs_on_the_named_group(capsys, name):
     assert report["failures"] == [] and report["complete"]
 
 
-def test_verify_l22_picks_the_group_by_element_order(capsys):
-    # Z3 x Z3 under a name without "x": it has no element of order 9
-    code, out, _ = run(
-        capsys, "verify", "L2.2", "--group", "semidirect_cyclic(3,3,1)", "--no-cache"
-    )
+@pytest.mark.parametrize(
+    "descriptor,name",
+    [
+        ("direct_product(cyclic(3),cyclic(5))", "Z3xZ5"),
+        # Z3 x Z3 under a name without "x": it has no element of order 9
+        ("semidirect_cyclic(3,3,1)", "Z3:Z3(k=1)"),
+    ],
+    ids=["direct_product", "semidirect_cyclic"],
+)
+def test_verify_l22_reports_the_requested_group(capsys, descriptor, name):
+    code, out, _ = run(capsys, "verify", "L2.2", "--group", descriptor, "--no-cache")
     assert code == 0
-    assert json.loads(out)["group_name"] == "Z3xZ3"
+    report = json.loads(out)
+    assert report["group_name"] == name
+    assert report["failures"] == [] and report["complete"]
 
 
 def test_verify_l26_single_group(capsys):
     code, out, _ = run(
         capsys, "verify", "L2.6", "--group", "Z27", "--budget", "2000", "--jobs", "1"
     )
-    assert code == 0
+    assert code == 3
     report = json.loads(out)
     assert report["failures"] == []
     assert report["group_name"] == "Z27"
     assert report["complete"] is False  # budget-capped partial run
+
+
+def test_cr_exact_budget_exhausted_exit_three(capsys):
+    code, out, _ = run(capsys, "cr", "exact", "--group", "Z9", "--budget", "5", "--no-cache")
+    assert code == 3
+    cert = json.loads(out)
+    assert cert["method"] == "exhaustive" and cert["value"] is None
 
 
 def test_verify_l25_emits_five_json_lines(capsys):

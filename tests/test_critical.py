@@ -5,6 +5,8 @@ import random
 from itertools import combinations, islice, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from critnum.catalog import catalog_group, catalog_init
 from critnum.critical import (
@@ -18,7 +20,9 @@ from critnum.critical import (
 )
 from critnum.groups import (
     cyclic,
+    dicyclic,
     dihedral,
+    direct_product,
     heisenberg,
     semidirect_cyclic,
     subgroup_closure,
@@ -69,8 +73,8 @@ def test_cr_exhaustive_frozen_values(name):
 
 @pytest.mark.slow
 def test_cr_z45_exact_is_16():
-    # about a minute on one core: every size-16 subset of Z45 is read through
-    # the shared translate tables; run with `pytest -m slow`
+    # about 20 s on one core: every size-16 subset of Z45 is certified through
+    # the shared translate tables and the scan's memo; run with `pytest -m slow`
     g = catalog_group("Z45")
     cert = cr_exhaustive(g)
     assert cert.value == cert.lower_bound == cert.upper_bound == 16
@@ -174,8 +178,8 @@ def test_find_nonbases_empty_set_is_nonbasis():
 def reference_nonbases(g, size, budget, limit, bases=None):
     """Oracle: every subset in lexicographic order, each checked by covers_group."""
     if bases is None:
-        bases = [covers_group(g, c) for c in combinations(range(1, g.n), size)]
-    total = len(bases)
+        bases = (covers_group(g, c) for c in combinations(range(1, g.n), size))
+    total = math.comb(g.n - 1, size)
     cap = total if budget is None else min(total, budget)
     checked, found = 0, []
     for comb, ok in islice(zip(combinations(range(1, g.n), size), bases), cap):
@@ -224,6 +228,81 @@ def test_budget_ending_inside_pruned_subtree(name, size):
     got = find_nonbases(g, size, budget=budget, limit=0)
     assert got == reference_nonbases(g, size, budget, 0)
     assert got[0] == budget
+
+
+def memo_certified_prefixes(g, size):
+    """Prefixes whose subtree an earlier settled subtree certifies.
+
+    An earlier prefix q of the same length and first element, with the same
+    ascending walk, q[-1] <= p[-1], and every completion walking to the whole
+    group, certifies p.  Prefixes with fewer than three completions are
+    skipped.
+    """
+    full = g.full_mask
+    for k in range(2, size):
+        settled, first = {}, None
+        for p in combinations(range(1, g.n - size + k), k):
+            if p[0] != first:
+                settled, first = {}, p[0]
+            if any(fixed_order_reach_mask(g, p[:j]) == full for j in range(1, k + 1)):
+                continue
+            walk = fixed_order_reach_mask(g, p)
+            if settled.get(walk, g.n) <= p[-1]:
+                if math.comb(g.n - 1 - p[-1], size - k) >= 3:
+                    yield p
+                continue
+            completions = combinations(range(p[-1] + 1, g.n), size - k)
+            if all(fixed_order_reach_mask(g, p + c) == full for c in completions):
+                settled[walk] = p[-1]
+
+
+@pytest.mark.parametrize("name,size", [("D6", 5), ("A4", 5), ("Z15", 5), ("D7", 7)])
+def test_budget_ending_inside_memo_certified_subtree(name, size):
+    # the scan counts a prefix whose walk equals that of an earlier settled
+    # subtree without visiting it; a budget ending inside it must certify
+    # exactly that subtree's first ranks
+    g = catalog_group(name)
+    combs = list(combinations(range(1, g.n), size))
+    bases = [covers_group(g, c) for c in combs]
+    prefixes = list(memo_certified_prefixes(g, size))
+    assert prefixes, "no memo-certified subtree of three or more subsets"
+    for prefix in prefixes:
+        a = prefix[-1]
+        first = prefix + tuple(range(a + 1, a + 1 + size - len(prefix)))
+        budget = combs.index(first) + 2
+        got = find_nonbases(g, size, budget=budget, limit=0)
+        assert got == reference_nonbases(g, size, budget, 0, bases), prefix
+        assert got[0] == budget
+
+
+@st.composite
+def constructed_groups(draw):
+    """Groups of order <= 18 from the constructors, not from the catalog."""
+    kind = draw(st.sampled_from(["semidirect", "dihedral", "dicyclic", "product"]))
+    if kind == "dihedral":
+        return dihedral(draw(st.integers(2, 9)))
+    if kind == "dicyclic":
+        return dicyclic(draw(st.integers(2, 4)))
+    if kind == "semidirect":
+        a = draw(st.integers(2, 9))
+        b = draw(st.integers(1, 18 // a))
+        ks = [k for k in range(1, a) if math.gcd(k, a) == 1 and pow(k, b, a) == 1]
+        return semidirect_cyclic(a, b, draw(st.sampled_from(ks)))
+    factors = [cyclic(2), cyclic(3), cyclic(4), cyclic(5), dihedral(2), dihedral(3)]
+    left = draw(st.sampled_from(factors))
+    right = draw(st.sampled_from([h for h in factors if left.n * h.n <= 18]))
+    return direct_product(left, right)
+
+
+@given(data=st.data())
+def test_find_nonbases_matches_reference_on_constructed_groups(data):
+    g = data.draw(constructed_groups())
+    size = data.draw(st.integers(0, g.n - 1), label="size")
+    total = math.comb(g.n - 1, size)
+    limit = data.draw(st.sampled_from([0, 1]), label="limit")
+    budget = data.draw(st.none() | st.integers(0, total), label="budget")
+    got = find_nonbases(g, size, budget=budget, limit=limit)
+    assert got == reference_nonbases(g, size, budget, limit)
 
 
 def test_cr_exhaustive_budget_partial():

@@ -3,7 +3,7 @@
 import pytest
 
 from critnum.catalog import catalog_group
-from critnum.groups import cyclic, dihedral, heisenberg
+from critnum.groups import cyclic, dihedral, direct_product, heisenberg
 from critnum.sumsets import covers_group, exact_reach_mask, sumset
 from critnum.verifiers import (
     verify_L2_1,
@@ -45,18 +45,18 @@ def test_l21_sampled_deterministic():
 
 
 def test_l22_z15_exhaustive():
-    report = verify_L2_2(3, 5)
+    report = verify_L2_2(cyclic(15))
     assert report.cases_checked == 3432  # C(14, 7)
     assert report.failures == []
 
 
 def test_l22_both_constructions():
-    r = verify_L2_2(3, 5, which_group="product")
-    assert r.failures == []
-    with pytest.raises(ValueError):
-        verify_L2_2(4, 5)
-    with pytest.raises(ValueError):
-        verify_L2_2(3, 5, which_group="other")
+    r = verify_L2_2(direct_product(cyclic(3), cyclic(5)))
+    assert r.failures == [] and r.complete
+    assert r.group_name == "Z3xZ5"
+    for g in (cyclic(20), dihedral(5)):
+        with pytest.raises(ValueError, match="order pq"):
+            verify_L2_2(g)
 
 
 def test_l22_negative_probe_below_threshold():
