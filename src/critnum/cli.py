@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import catalog as cat
 from . import verifiers as ver
@@ -65,15 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subset-sum closures and critical numbers of small finite groups.",
     )
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="accepted; the subset scan is serial"
-    )
+    jobs_help = "ignored; the subset scan is serial"
+    parser.add_argument("--jobs", type=int, help=jobs_help)
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # pre-subcommand value from being clobbered by the subparser default
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help=jobs_help)
     shared.add_argument("--no-cache", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -121,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_cr(args) -> dict:
     g = cat.resolve_group(args.group)
     if args.method == "exact":
-        cert = cr_exhaustive(g, budget=args.budget, jobs=args.jobs)
+        cert = cr_exhaustive(g, budget=args.budget)
     elif args.method == "formula":
         maybe = cr_formula(g)
         if maybe is None:
@@ -138,38 +136,34 @@ def _run_cr(args) -> dict:
 
 def _run_verify(args) -> list[dict]:
     lemma = args.lemma_id
-    if lemma == "L2.1":
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_L2_1(g, mode=args.mode, trials=args.trials, seed=args.seed)]
-    elif lemma == "L2.2":
-        g = cat.resolve_group(_require_group(args))
-        reports = [
-            ver.verify_L2_2(g, mode=args.mode, trials=args.trials, seed=args.seed, jobs=args.jobs)
-        ]
-    elif lemma == "L2.3":
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_L2_3(g, mode=args.mode, trials=args.trials, seed=args.seed)]
-    elif lemma == "L2.4":
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_L2_4(g, mode=args.mode, trials=args.trials, seed=args.seed)]
-    elif lemma == "L2.5":
-        g = cat.resolve_group(_require_group(args))
-        reports = ver.run_L2_5(g)
-    elif lemma in ("L2.5i", "L2.5ii", "L2.5iii", "L2.5iv", "L2.5v"):
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_L2_5(g, lemma[len("L2.5"):])]
-    elif lemma == "L2.6":
-        reports = [ver.verify_L2_6(group=args.group, budget=args.budget, jobs=args.jobs)]
-    elif lemma == "INEQ2.3":
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_ineq_2_3(g, mode=args.mode, trials=args.trials, seed=args.seed)]
-    elif lemma == "INEQ2.4":
-        g = cat.resolve_group(_require_group(args))
-        reports = [ver.verify_ineq_2_4(g, trials=args.trials, seed=args.seed)]
-    elif lemma == "CDFOLD":
+    if lemma == "CDFOLD":
         reports = [ver.verify_cd_fold()]
     elif lemma == "T1.3small":
-        reports = [ver.verify_T1_3_small(jobs=args.jobs, budget=args.budget)]
+        reports = [ver.verify_T1_3_small(budget=args.budget)]
+    elif lemma == "L2.6":
+        g = None if args.group is None else cat.resolve_group(args.group)
+        reports = [ver.verify_L2_6(g, budget=args.budget)]
+    elif lemma in ver.LEMMA_IDS or lemma == "L2.5":
+        if args.group is None:
+            raise ValueError(f"verify {lemma} requires --group")
+        g = cat.resolve_group(args.group)
+        seeded = {"trials": args.trials, "seed": args.seed}
+        if lemma == "L2.1":
+            reports = [ver.verify_L2_1(g, mode=args.mode, **seeded)]
+        elif lemma == "L2.2":
+            reports = [ver.verify_L2_2(g, mode=args.mode, **seeded)]
+        elif lemma == "L2.3":
+            reports = [ver.verify_L2_3(g, mode=args.mode, **seeded)]
+        elif lemma == "L2.4":
+            reports = [ver.verify_L2_4(g, mode=args.mode, **seeded)]
+        elif lemma == "L2.5":
+            reports = ver.run_L2_5(g)
+        elif lemma.startswith("L2.5"):
+            reports = [ver.verify_L2_5(g, lemma[len("L2.5"):])]
+        elif lemma == "INEQ2.3":
+            reports = [ver.verify_ineq_2_3(g, mode=args.mode, **seeded)]
+        else:
+            reports = [ver.verify_ineq_2_4(g, **seeded)]
     else:
         raise ValueError(
             f"unknown lemma id {lemma!r}; choose from {', '.join(ver.LEMMA_IDS)}"
@@ -177,14 +171,19 @@ def _run_verify(args) -> list[dict]:
     return [r.to_json() for r in reports]
 
 
-def _require_group(args) -> str:
-    if args.group is None:
-        raise ValueError(f"verify {args.lemma_id} requires --group")
-    return args.group
-
-
-def _cache_params(args, keys: Sequence[str]) -> dict:
-    return {k: getattr(args, k, None) for k in keys}
+def _cached(
+    args, operation: str, group_key: str, keys: Sequence[str], run: Callable[[], dict]
+) -> dict:
+    """The cached record for this command; on a miss, `run()` under the cache lock, stored."""
+    if args.no_cache:
+        return run()
+    cache = ResultCache()
+    params = {k: getattr(args, k, None) for k in keys}
+    with cache.lock():
+        record = cache.get(group_key, operation, params)
+        if record is None:
+            record = cache.put(group_key, operation, params, run())
+    return record
 
 
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
@@ -247,17 +246,13 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "cr":
-            cache = None if args.no_cache else ResultCache()
-            operation = f"cr {args.method}"
-            params = _cache_params(args, ["group", "method", "budget", "t", "trials", "seed"])
-            group_key = args.group
-            if cache is not None:
-                with cache.lock():
-                    record = cache.get(group_key, operation, params)
-                    if record is None:
-                        record = cache.put(group_key, operation, params, _run_cr(args))
-            else:
-                record = _run_cr(args)
+            record = _cached(
+                args,
+                f"cr {args.method}",
+                args.group,
+                ["group", "method", "budget", "t", "trials", "seed"],
+                lambda: _run_cr(args),
+            )
             _print_json(record, args.pretty)
             lower = record.get("lower_bound")
             upper = record.get("upper_bound")
@@ -268,22 +263,13 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "verify":
-            cache = None if args.no_cache else ResultCache()
-            operation = f"verify {args.lemma_id}"
-            params = _cache_params(
-                args, ["group", "lemma_id", "mode", "trials", "seed", "budget"]
-            )
-            group_key = args.group or "*"
-            if cache is not None:
-                with cache.lock():
-                    stored = cache.get(group_key, operation, params)
-                    if stored is None:
-                        stored = cache.put(
-                            group_key, operation, params, {"reports": _run_verify(args)}
-                        )
-            else:
-                stored = {"reports": _run_verify(args)}
-            reports = stored["reports"]
+            reports = _cached(
+                args,
+                f"verify {args.lemma_id}",
+                args.group or "*",
+                ["group", "lemma_id", "mode", "trials", "seed", "budget"],
+                lambda: {"reports": _run_verify(args)},
+            )["reports"]
             for report in reports:
                 _print_json(report, args.pretty)
             if any(r.get("failures") for r in reports):

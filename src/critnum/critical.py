@@ -325,7 +325,6 @@ def find_nonbases(
     g: GroupTable,
     size: int,
     *,
-    jobs: int = 1,
     budget: Optional[int] = None,
     limit: int = 1,
     mask_limit: int = DEFAULT_MASK_LIMIT,
@@ -334,8 +333,7 @@ def find_nonbases(
 
     Returns (subsets checked, non-bases found, complete) where complete means
     the scan either covered every subset or stopped early at the find limit.
-    A budget caps the number of subsets examined or certified.  `jobs` is
-    accepted but unused: the scan is serial.
+    A budget caps the number of subsets examined or certified.
     """
     if not 0 <= size <= g.n - 1:
         return 0, [], True
@@ -354,16 +352,14 @@ def find_nonbases(
 # exhaustive search
 
 
-def cr_exhaustive(
-    g: GroupTable, budget: Optional[int] = None, jobs: int = 1
-) -> CrCertificate:
+def cr_exhaustive(g: GroupTable, budget: Optional[int] = None) -> CrCertificate:
     """Exact critical number by monotone exhaustive search.
 
     A candidate is taken from the formula oracle (or the witness bound) and
     adjusted until every subset of size t is a basis while some subset of
     size t - 1 is not; downward closure of non-bases makes that value exact.
     If the budget runs out first, a partial certificate with bounds only is
-    returned.  `jobs` is accepted but unused: the scan is serial.
+    returned.
     """
     t_start = time.perf_counter()
     n = g.n

@@ -85,15 +85,6 @@ class GroupTable:
     name: str
     reindex: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def elements(self) -> range:
-        return range(self.n)
-
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -71,7 +71,6 @@ def _dp_covers(g: GroupTable, members: Sequence[int]) -> bool:
 
 def _state_search(
     op: Sequence[Sequence[int]],
-    n: int,
     full: int,
     members: Sequence[int],
     mask_limit: int,
@@ -143,7 +142,7 @@ def _closure(
         return fixed_order_reach_mask(g, members), True
     if _dp_covers(g, members):
         return g.full_mask, False
-    reached, _ = _state_search(g.op, g.n, g.full_mask, members, mask_limit, stop_at_full=True)
+    reached, _ = _state_search(g.op, g.full_mask, members, mask_limit, stop_at_full=True)
     return reached, True
 
 
@@ -190,7 +189,7 @@ def sigma(
     if g.is_abelian:
         levels = _levels_abelian(g, members)
     else:
-        _, levels = _state_search(g.op, g.n, g.full_mask, members, mask_limit, want_levels=True)
+        _, levels = _state_search(g.op, g.full_mask, members, mask_limit, want_levels=True)
         assert levels is not None
     reached = 0
     for lv in levels:

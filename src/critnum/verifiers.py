@@ -6,10 +6,11 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .catalog import ORDER27_NAMES, catalog_group, catalog_init, resolve_group
+from .catalog import ORDER27_NAMES, catalog_group, catalog_init
 from .critical import DEFAULT_SEED, cr_exhaustive, cr_formula, find_nonbases, resolving_sequence
 from .groups import (
     ElementSet,
@@ -26,7 +27,6 @@ from .sumsets import (
     fold_cd,
     lambda_bits,
     sigma_r,
-    sumset_bits,
 )
 
 DEFAULT_TRIALS = 10_000
@@ -61,7 +61,6 @@ class VerificationReport:
     failures: list[dict] = field(default_factory=list)
     seed: Optional[int] = None
     trials: Optional[int] = None
-    jobs: int = 1
     elapsed_ms: int = 0
     complete: bool = True
     notes: Optional[str] = None
@@ -80,7 +79,6 @@ class VerificationReport:
             "failures": self.failures,
             "seed": self.seed,
             "trials": self.trials,
-            "jobs": self.jobs,
             "elapsed_ms": self.elapsed_ms,
             "complete": self.complete,
             "notes": self.notes,
@@ -101,6 +99,51 @@ def _pick_mode(mode: Optional[str], g: GroupTable, exhaustive_cap: int) -> str:
     return "exhaustive" if g.n <= exhaustive_cap else "sampled"
 
 
+def _run_cases(
+    lemma_id: str,
+    g: GroupTable,
+    mode: str,
+    check: Callable[[Any], Optional[dict]],
+    every: Optional[Callable[[], Iterable[Any]]] = None,
+    draw: Optional[Callable[[random.Random], Any]] = None,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+) -> VerificationReport:
+    """The verifiers' case loop: `check` every case of `every()`, or of `trials` seeded draws.
+
+    A `None` case lies outside the lemma's hypotheses and counts as skipped;
+    `check` returns a failure record, or `None` when the case holds.
+    """
+    t0 = time.perf_counter()
+    sampled = mode == "sampled"
+    if sampled:
+        rng = _group_rng(seed, g)
+        cases: Iterable[Any] = (draw(rng) for _ in range(trials))
+    else:
+        cases = every()
+    checked = skipped = 0
+    failures: list[dict] = []
+    for case in cases:
+        if case is None:
+            skipped += 1
+            continue
+        checked += 1
+        failure = check(case)
+        if failure is not None:
+            failures.append(failure)
+    return VerificationReport(
+        lemma_id=lemma_id,
+        group_name=g.name,
+        mode=mode,
+        cases_checked=checked,
+        skipped=skipped,
+        failures=failures,
+        seed=seed if sampled else None,
+        trials=trials if sampled else None,
+        elapsed_ms=_ms(t0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # L2.1: A + B covers the group whenever |A| + |B| exceeds its order
 
@@ -111,47 +154,40 @@ def verify_L2_1(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     n = g.n
     full = g.full_mask
-    mode = _pick_mode(mode, g, 10)
-    cases = 0
-    failures: list[dict] = []
-    if mode == "exhaustive":
-        by_size: dict[int, list[int]] = {}
-        for size in range(1, n + 1):
-            by_size[size] = [
-                sum(1 << i for i in comb) for comb in combinations(range(n), size)
-            ]
+
+    def every():
+        by_size = {size: list(combinations(range(n), size)) for size in range(1, n + 1)}
         for sa in range(1, n + 1):
+            # each A's translates are computed once and looked up for every B;
+            # a sampled A translates on demand, since its sumset stops at full
+            rows = [
+                (a, [g.translate(sum(1 << i for i in a), x) for x in range(n)].__getitem__)
+                for a in by_size[sa]
+            ]
             for sb in range(n + 1 - sa, n + 1):
-                for a_bits in by_size[sa]:
-                    for b_bits in by_size[sb]:
-                        cases += 1
-                        if sumset_bits(g, a_bits, b_bits) != full:
-                            failures.append({"A": _bits_list(a_bits), "B": _bits_list(b_bits)})
-        report_trials = None
-    else:
-        rng = _group_rng(seed, g)
-        for _ in range(trials):
-            sa = rng.randint(1, n)
-            sb = rng.randint(n + 1 - sa, n)
-            a_bits = sum(1 << i for i in rng.sample(range(n), sa))
-            b_bits = sum(1 << i for i in rng.sample(range(n), sb))
-            cases += 1
-            if sumset_bits(g, a_bits, b_bits) != full:
-                failures.append({"A": _bits_list(a_bits), "B": _bits_list(b_bits)})
-        report_trials = trials
-    return VerificationReport(
-        lemma_id="L2.1",
-        group_name=g.name,
-        mode=mode,
-        cases_checked=cases,
-        failures=failures,
-        seed=seed if mode == "sampled" else None,
-        trials=report_trials,
-        elapsed_ms=_ms(t0),
-    )
+                for a, shift in rows:
+                    for b in by_size[sb]:
+                        yield a, b, shift
+
+    def draw(rng):
+        sa = rng.randint(1, n)
+        sb = rng.randint(n + 1 - sa, n)
+        a = sorted(rng.sample(range(n), sa))
+        b = sorted(rng.sample(range(n), sb))
+        return a, b, partial(g.translate, sum(1 << i for i in a))
+
+    def check(case):
+        a, b, shift = case
+        out = 0
+        for x in b:
+            out |= shift(x)
+            if out == full:
+                return None
+        return {"A": list(a), "B": list(b)}
+
+    return _run_cases("L2.1", g, _pick_mode(mode, g, 10), check, every, draw, trials, seed)
 
 
 def _bits_list(bits: int) -> list[int]:
@@ -171,7 +207,6 @@ def verify_L2_2(
     mode: Optional[str] = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> VerificationReport:
     t0 = time.perf_counter()
     p = smallest_prime_divisor(g.n) if g.n > 1 else 1
@@ -181,59 +216,30 @@ def verify_L2_2(
             f"verify L2.2 needs an abelian group of order pq, got {g.name} of order {g.n}"
         )
     size = p + q - 1
-    mode = _pick_mode(mode, g, 35)
-    failures: list[dict] = []
-    if mode == "exhaustive":
-        checked, found, complete = find_nonbases(g, size, jobs=jobs, limit=8)
-        for comb in found:
-            failures.append({"set": list(comb)})
-        report_trials = None
-        report_seed = None
-    else:
-        rng = _group_rng(seed, g)
-        checked = 0
-        complete = True
-        for _ in range(trials):
-            comb = tuple(sorted(rng.sample(range(1, g.n), size)))
-            checked += 1
-            if not covers_group(g, comb):
-                failures.append({"set": list(comb)})
-        report_trials = trials
-        report_seed = seed
-    return VerificationReport(
-        lemma_id="L2.2",
-        group_name=g.name,
-        mode=mode,
-        cases_checked=checked,
-        failures=failures,
-        seed=report_seed,
-        trials=report_trials,
-        jobs=jobs,
-        elapsed_ms=_ms(t0),
-        complete=complete,
+    if _pick_mode(mode, g, 35) == "exhaustive":
+        checked, found, complete = find_nonbases(g, size, limit=8)
+        return VerificationReport(
+            lemma_id="L2.2",
+            group_name=g.name,
+            mode="exhaustive",
+            cases_checked=checked,
+            failures=[{"set": list(comb)} for comb in found],
+            elapsed_ms=_ms(t0),
+            complete=complete,
+        )
+    return _run_cases(
+        "L2.2",
+        g,
+        "sampled",
+        lambda comb: None if covers_group(g, comb) else {"set": list(comb)},
+        draw=lambda rng: tuple(sorted(rng.sample(range(1, g.n), size))),
+        trials=trials,
+        seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
 # L2.3: a generating set always contains a good translate direction
-
-
-def _l23_holds(g: GroupTable, s_members: Sequence[int], b_bits: int) -> bool:
-    """max lambda over the set vs min((|B|+1)/2, (|S u -S|+2)/4), by cross-multiplication."""
-    su_bits = 0
-    for x in s_members:
-        su_bits |= (1 << x) | (1 << g.inv[x])
-    b_size = b_bits.bit_count()
-    u = su_bits.bit_count()
-    bound4 = min(2 * (b_size + 1), u + 2)
-    best = 0
-    for x in s_members:
-        lam = lambda_bits(g, b_bits, x)
-        if lam > best:
-            best = lam
-            if 4 * best >= bound4:
-                return True
-    return 4 * best >= bound4
 
 
 def verify_L2_3(
@@ -244,59 +250,52 @@ def verify_L2_3(
     max_set_size: Optional[int] = None,
     max_b_size: Optional[int] = None,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     n = g.n
     mode = _pick_mode(mode, g, 10)
+    default_cap = n - 1 if mode == "exhaustive" else 8
+    s_cap = min(default_cap if max_set_size is None else max_set_size, n - 1)
     b_cap = n // 2 if max_b_size is None else min(max_b_size, n // 2)
-    cases = 0
-    skipped = 0
-    failures: list[dict] = []
-    if mode == "exhaustive":
-        s_cap = n - 1 if max_set_size is None else min(max_set_size, n - 1)
+
+    def generates(members) -> bool:
+        return subgroup_mask(g, sum(1 << i for i in members)) == g.full_mask
+
+    def spread(members) -> int:
+        return len({*members, *(g.inv[x] for x in members)})  # |S u -S|
+
+    def every():
         gen_sets = []
         for size in range(1, s_cap + 1):
             for comb in combinations(range(1, n), size):
-                if subgroup_mask(g, sum(1 << i for i in comb)) == g.full_mask:
-                    gen_sets.append(comb)
+                if generates(comb):
+                    gen_sets.append((comb, spread(comb)))
                 else:
-                    skipped += 1
-        b_list = []
-        for size in range(1, b_cap + 1):
-            for comb in combinations(range(n), size):
-                b_list.append(sum(1 << i for i in comb))
-        for s_members in gen_sets:
+                    yield None
+        b_list = [
+            sum(1 << i for i in comb)
+            for size in range(1, b_cap + 1)
+            for comb in combinations(range(n), size)
+        ]
+        for s_members, u in gen_sets:
             for b_bits in b_list:
-                cases += 1
-                if not _l23_holds(g, s_members, b_bits):
-                    failures.append({"set": list(s_members), "B": _bits_list(b_bits)})
-        report_trials = None
-        report_seed = None
-    else:
-        rng = _group_rng(seed, g)
-        s_cap = min(8, n - 1) if max_set_size is None else min(max_set_size, n - 1)
-        for _ in range(trials):
-            s_members = tuple(sorted(rng.sample(range(1, n), rng.randint(1, s_cap))))
-            if subgroup_mask(g, sum(1 << i for i in s_members)) != g.full_mask:
-                skipped += 1
-                continue
-            b_size = rng.randint(1, b_cap)
-            b_bits = sum(1 << i for i in rng.sample(range(n), b_size))
-            cases += 1
-            if not _l23_holds(g, s_members, b_bits):
-                failures.append({"set": list(s_members), "B": _bits_list(b_bits)})
-        report_trials = trials
-        report_seed = seed
-    return VerificationReport(
-        lemma_id="L2.3",
-        group_name=g.name,
-        mode=mode,
-        cases_checked=cases,
-        skipped=skipped,
-        failures=failures,
-        seed=report_seed,
-        trials=report_trials,
-        elapsed_ms=_ms(t0),
-    )
+                yield s_members, u, b_bits
+
+    def draw(rng):
+        s_members = tuple(sorted(rng.sample(range(1, n), rng.randint(1, s_cap))))
+        if not generates(s_members):
+            return None
+        b_bits = sum(1 << i for i in rng.sample(range(n), rng.randint(1, b_cap)))
+        return s_members, spread(s_members), b_bits
+
+    def check(case):
+        # max lambda over S vs min((|B|+1)/2, (|S u -S|+2)/4), by cross-multiplication
+        s_members, u, b_bits = case
+        bound4 = min(2 * (b_bits.bit_count() + 1), u + 2)
+        for x in s_members:
+            if 4 * lambda_bits(g, b_bits, x) >= bound4:
+                return None
+        return {"set": list(s_members), "B": _bits_list(b_bits)}
+
+    return _run_cases("L2.3", g, mode, check, every, draw, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +306,12 @@ def _inverse_pairs(g: GroupTable) -> list[tuple[int, int]]:
     return [(x, g.inv[x]) for x in range(1, g.n) if x < g.inv[x]]
 
 
-def _l24_holds(g: GroupTable, members: tuple[int, ...]) -> bool:
-    need = 2 * len(members)
-    r = fixed_order_reach_mask(g, members)
-    if r.bit_count() >= need:
-        return True
-    if g.is_abelian:
-        return False
-    return exact_reach_mask(g, members).bit_count() >= need
+def _draw_sign_disjoint(
+    rng: random.Random, pairs: list[tuple[int, int]], min_size: int, max_size: int
+) -> tuple[int, ...]:
+    """One member from each of a random number of distinct inverse pairs, sorted."""
+    chosen = rng.sample(pairs, rng.randint(min_size, min(max_size, len(pairs))))
+    return tuple(sorted(pair[rng.randint(0, 1)] for pair in chosen))
 
 
 def verify_L2_4(
@@ -325,45 +322,34 @@ def verify_L2_4(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     if g.n % 2 == 0:
         raise ValueError("this check applies to odd-order groups only")
-    mode = _pick_mode(mode, g, 27)
     pairs = _inverse_pairs(g)
-    cases = 0
-    failures: list[dict] = []
-    if mode == "exhaustive":
-        for size in range(min_size, max_size + 1):
-            if size > len(pairs):
-                break
+
+    def every():
+        for size in range(min_size, min(max_size, len(pairs)) + 1):
             for chosen in combinations(pairs, size):
                 for signs in product((0, 1), repeat=size):
-                    members = tuple(sorted(pair[s] for pair, s in zip(chosen, signs)))
-                    cases += 1
-                    if not _l24_holds(g, members):
-                        failures.append({"set": list(members)})
-        report_trials = None
-        report_seed = None
-    else:
-        rng = _group_rng(seed, g)
-        for _ in range(trials):
-            size = rng.randint(min_size, min(max_size, len(pairs)))
-            chosen = rng.sample(pairs, size)
-            members = tuple(sorted(pair[rng.randint(0, 1)] for pair in chosen))
-            cases += 1
-            if not _l24_holds(g, members):
-                failures.append({"set": list(members)})
-        report_trials = trials
-        report_seed = seed
-    return VerificationReport(
-        lemma_id="L2.4",
-        group_name=g.name,
-        mode=mode,
-        cases_checked=cases,
-        failures=failures,
-        seed=report_seed,
-        trials=report_trials,
-        elapsed_ms=_ms(t0),
+                    yield tuple(sorted(pair[s] for pair, s in zip(chosen, signs)))
+
+    def check(members):
+        need = 2 * len(members)
+        if fixed_order_reach_mask(g, members).bit_count() >= need:
+            return None
+        # in an abelian group the fixed-order walk already reaches every subset sum
+        if not g.is_abelian and exact_reach_mask(g, members).bit_count() >= need:
+            return None
+        return {"set": list(members)}
+
+    return _run_cases(
+        "L2.4",
+        g,
+        _pick_mode(mode, g, 27),
+        check,
+        every,
+        lambda rng: _draw_sign_disjoint(rng, pairs, min_size, max_size),
+        trials,
+        seed,
     )
 
 
@@ -372,71 +358,63 @@ def verify_L2_4(
 
 
 def verify_L2_5(g: GroupTable, item: str) -> VerificationReport:
-    t0 = time.perf_counter()
     if g.n != 9:
         raise ValueError(f"this check applies to groups of order 9, got order {g.n}")
     if item not in ("i", "ii", "iii", "iv", "v"):
         raise ValueError(f"item must be one of i..v, got {item!r}")
     n = g.n
-    full = g.full_mask
-    translate = g.translate
-    cases = 0
-    skipped = 0
-    failures: list[dict] = []
 
     if item == "i":
-        for comb in combinations(range(n), 3):
-            reach = exact_reach_mask(g, comb)
-            if reach & 1:
-                skipped += 1
-                continue
-            cases += 1
-            if reach.bit_count() < 6:
-                failures.append({"set": list(comb), "closure_size": reach.bit_count()})
-    elif item == "ii":
-        for comb in combinations(range(1, n), 3):
-            cases += 1
-            if exact_reach_mask(g, comb).bit_count() < 5:
-                failures.append({"set": list(comb)})
-    elif item == "iii":
-        for comb in combinations(range(1, n), 4):
-            cases += 1
-            if exact_reach_mask(g, comb).bit_count() < 7:
-                failures.append({"set": list(comb)})
+
+        def every():
+            for comb in combinations(range(n), 3):
+                reach = exact_reach_mask(g, comb)
+                yield None if reach & 1 else (comb, reach.bit_count())
+
+        def check(case):
+            comb, size = case
+            return None if size >= 6 else {"set": list(comb), "closure_size": size}
+
+    elif item in ("ii", "iii"):
+        size, floor = (3, 5) if item == "ii" else (4, 7)
+
+        def every():
+            return combinations(range(1, n), size)
+
+        def check(comb):
+            return None if exact_reach_mask(g, comb).bit_count() >= floor else {"set": list(comb)}
+
     elif item == "iv":
-        for comb in combinations(range(n), 4):
-            cases += 1
+
+        def every():
+            return combinations(range(n), 4)
+
+        def check(comb):
             pair_sums = sigma_r(g, ElementSet.from_indices(g, comb), 2)
-            if len(pair_sums) < 5:
-                failures.append({"set": list(comb), "pair_sums": list(pair_sums)})
+            if len(pair_sums) >= 5:
+                return None
+            return {"set": list(comb), "pair_sums": list(pair_sums)}
+
     else:
-        a_sets = list(combinations(range(n), 4))
-        b_sets = []
-        for size in range(2, n + 1):
-            for comb in combinations(range(n), size):
-                b_sets.append(comb)
-        for a_comb in a_sets:
-            a_bits = sum(1 << i for i in a_comb)
-            for b_comb in b_sets:
-                cases += 1
-                out = 0
-                count = 0
-                for x in b_comb:
-                    out |= translate(a_bits, x)
-                    count = out.bit_count()
-                    if count >= 5:
-                        break
-                if count < 5:
-                    failures.append({"A": list(a_comb), "B": list(b_comb)})
-    return VerificationReport(
-        lemma_id=f"L2.5{item}",
-        group_name=g.name,
-        mode="exhaustive",
-        cases_checked=cases,
-        skipped=skipped,
-        failures=failures,
-        elapsed_ms=_ms(t0),
-    )
+
+        def every():
+            b_sets = [comb for size in range(2, n + 1) for comb in combinations(range(n), size)]
+            for a_comb in combinations(range(n), 4):
+                a_bits = sum(1 << i for i in a_comb)
+                shifts = [g.translate(a_bits, x) for x in range(n)]
+                for b_comb in b_sets:
+                    yield a_comb, shifts, b_comb
+
+        def check(case):
+            a_comb, shifts, b_comb = case
+            out = 0
+            for x in b_comb:
+                out |= shifts[x]
+                if out.bit_count() >= 5:
+                    return None
+            return {"A": list(a_comb), "B": list(b_comb)}
+
+    return _run_cases(f"L2.5{item}", g, "exhaustive", check, every)
 
 
 def run_L2_5(g: GroupTable) -> list[VerificationReport]:
@@ -448,16 +426,14 @@ def run_L2_5(g: GroupTable) -> list[VerificationReport]:
 
 
 def verify_L2_6(
-    group: Optional[str] = None,
-    budget: Optional[int] = None,
-    jobs: int = 1,
+    g: Optional[GroupTable] = None, budget: Optional[int] = None
 ) -> VerificationReport:
+    """Exact cr of `g`, or of all five order-27 catalog groups when `g` is None."""
     t0 = time.perf_counter()
-    if group is None:
+    if g is None:
         groups = [catalog_group(name) for name in ORDER27_NAMES]
         group_name = "*"
     else:
-        g = resolve_group(group)
         if g.n != 27:
             raise ValueError(f"group {g.name} has order {g.n}, expected 27")
         groups = [g]
@@ -465,20 +441,19 @@ def verify_L2_6(
     cases = 0
     failures: list[dict] = []
     complete = True
-    for g in groups:
-        cert = cr_exhaustive(g, budget=budget, jobs=jobs)
+    for h in groups:
+        cert = cr_exhaustive(h, budget=budget)
         cases += cert.subsets_checked
         if cert.value is None:
             complete = False
         elif cert.value != 10:
-            failures.append({"group": g.name, "cr": cert.value, "expected": 10})
+            failures.append({"group": h.name, "cr": cert.value, "expected": 10})
     return VerificationReport(
         lemma_id="L2.6",
         group_name=group_name,
         mode="exhaustive",
         cases_checked=cases,
         failures=failures,
-        jobs=jobs,
         elapsed_ms=_ms(t0),
         complete=complete,
     )
@@ -488,7 +463,7 @@ def verify_L2_6(
 # T1.3 at small even orders: cr equals n/2 (4 at order 6) given an index-2 subgroup
 
 
-def verify_T1_3_small(jobs: int = 1, budget: Optional[int] = None) -> VerificationReport:
+def verify_T1_3_small(budget: Optional[int] = None) -> VerificationReport:
     t0 = time.perf_counter()
     cases = 0
     failures: list[dict] = []
@@ -509,7 +484,7 @@ def verify_T1_3_small(jobs: int = 1, budget: Optional[int] = None) -> Verificati
                 excluded.append(entry.name)
             continue
         expected = 4 if entry.order == 6 else entry.order // 2
-        cert = cr_exhaustive(g, budget=budget, jobs=jobs)
+        cert = cr_exhaustive(g, budget=budget)
         cases += 1
         if cert.value is None:
             complete = False
@@ -524,7 +499,6 @@ def verify_T1_3_small(jobs: int = 1, budget: Optional[int] = None) -> Verificati
         mode="exhaustive",
         cases_checked=cases,
         failures=failures,
-        jobs=jobs,
         elapsed_ms=_ms(t0),
         complete=complete,
         notes=notes,
@@ -542,48 +516,30 @@ def verify_ineq_2_3(
     seed: int = DEFAULT_SEED,
     max_size: Optional[int] = None,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     n = g.n
     mode = _pick_mode(mode, g, 10)
-    cases = 0
-    failures: list[dict] = []
+    default_cap = n - 1 if mode == "exhaustive" else 8
+    cap = min(default_cap if max_size is None else max_size, n - 1)
 
-    def check(members: tuple[int, ...], y: int) -> None:
-        nonlocal cases
-        cases += 1
-        b = exact_reach_mask(g, members)
-        rest = tuple(m for m in members if m != y)
-        sub = exact_reach_mask(g, rest)
-        if b.bit_count() < sub.bit_count() + lambda_bits(g, b, y):
-            failures.append({"set": list(members), "y": y})
-
-    if mode == "exhaustive":
-        cap = n - 1 if max_size is None else min(max_size, n - 1)
+    def every():
         for size in range(1, cap + 1):
             for comb in combinations(range(1, n), size):
+                reach = exact_reach_mask(g, comb)
                 for y in comb:
-                    check(comb, y)
-        report_trials = None
-        report_seed = None
-    else:
-        rng = _group_rng(seed, g)
-        cap = min(8, n - 1) if max_size is None else min(max_size, n - 1)
-        for _ in range(trials):
-            size = rng.randint(1, cap)
-            comb = tuple(sorted(rng.sample(range(1, n), size)))
-            check(comb, rng.choice(comb))
-        report_trials = trials
-        report_seed = seed
-    return VerificationReport(
-        lemma_id="INEQ2.3",
-        group_name=g.name,
-        mode=mode,
-        cases_checked=cases,
-        failures=failures,
-        seed=report_seed,
-        trials=report_trials,
-        elapsed_ms=_ms(t0),
-    )
+                    yield comb, reach, y
+
+    def draw(rng):
+        comb = tuple(sorted(rng.sample(range(1, n), rng.randint(1, cap))))
+        return comb, exact_reach_mask(g, comb), rng.choice(comb)
+
+    def check(case):
+        members, reach, y = case
+        rest = exact_reach_mask(g, tuple(m for m in members if m != y))
+        if reach.bit_count() >= rest.bit_count() + lambda_bits(g, reach, y):
+            return None
+        return {"set": list(members), "y": y}
+
+    return _run_cases("INEQ2.3", g, mode, check, every, draw, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -602,55 +558,32 @@ def verify_ineq_2_4(
     Samples X with 0 not in X and X disjoint from -X (the setting in which the
     floor is derived); draws whose closure has at least n/2 elements or whose
     X generates a proper subgroup fall outside the hypotheses and are skipped.
+    A failing X is reported once, at the first s whose floor it misses.
     """
-    t0 = time.perf_counter()
     n = g.n
     if n % 2 == 0:
         raise ValueError("this check applies to odd-order groups only")
     pairs = _inverse_pairs(g)
-    rng = _group_rng(seed, g)
-    cases = 0
-    skipped = 0
-    failures: list[dict] = []
-    top = min(max_size, len(pairs))
-    for _ in range(trials):
-        size = rng.randint(min_size, top)
-        chosen = rng.sample(pairs, size)
-        members = tuple(sorted(pair[rng.randint(0, 1)] for pair in chosen))
-        reach = exact_reach_mask(g, members)
-        total = reach.bit_count()
-        if 2 * total >= n:
-            skipped += 1
-            continue
-        if subgroup_mask(g, sum(1 << i for i in members)) != g.full_mask:
-            skipped += 1
-            continue
+
+    def draw(rng):
+        members = _draw_sign_disjoint(rng, pairs, min_size, max_size)
+        total = exact_reach_mask(g, members).bit_count()
+        if 2 * total >= n or subgroup_mask(g, sum(1 << i for i in members)) != g.full_mask:
+            return None
+        return members, total
+
+    def check(case):
+        members, total = case
         rs = resolving_sequence(g, ElementSet.from_indices(g, members))
-        k = size
+        k = len(members)
         t = rs.critical_index
-        cases += 1
         for s in range(t, k + 1):
             b_prev = rs.prefix_sizes[s - 2] if s >= 2 else 0
             if 4 * total < (k + s + 3) * (k - s + 1) - 2 + 4 * b_prev:
-                failures.append(
-                    {
-                        "set": list(members),
-                        "s": s,
-                        "critical_index": t,
-                        "closure_size": total,
-                    }
-                )
-    return VerificationReport(
-        lemma_id="INEQ2.4",
-        group_name=g.name,
-        mode="sampled",
-        cases_checked=cases,
-        skipped=skipped,
-        failures=failures,
-        seed=seed,
-        trials=trials,
-        elapsed_ms=_ms(t0),
-    )
+                return {"set": list(members), "s": s, "critical_index": t, "closure_size": total}
+        return None
+
+    return _run_cases("INEQ2.4", g, "sampled", check, draw=draw, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ criterion as it completes.
 """
 
 import math
-import os
 import random
 import time
 import zlib
@@ -43,7 +42,6 @@ from critnum.verifiers import (
     verify_ineq_2_4,
 )
 
-JOBS = min(8, os.cpu_count() or 1)
 SEED = 0xC0FFEE
 
 
@@ -66,7 +64,7 @@ def test_c02_order27_critical_number_is_10(name):
     g = catalog_group(name)
     limit = 120.0 if g.is_abelian else 1800.0
     t0 = time.perf_counter()
-    cert = cr_exhaustive(g, jobs=JOBS)
+    cert = cr_exhaustive(g)
     elapsed = time.perf_counter() - t0
     assert cert.value == 10
     assert cert.subsets_checked >= math.comb(26, 10)
@@ -79,7 +77,7 @@ def test_c02_order27_critical_number_is_10(name):
 @pytest.mark.parametrize("name", ORDER27_NAMES)
 def test_c02_order27_certificate_counts_each_subset_once(name):
     # the scan certifies each size-10 subset exactly once; the witness adds one
-    cert = cr_exhaustive(catalog_group(name), jobs=JOBS)
+    cert = cr_exhaustive(catalog_group(name))
     assert cert.subsets_checked == math.comb(26, 10) + 1
 
 
@@ -91,7 +89,7 @@ def test_c03_even_order_index2_critical_number_is_half(name):
     g = catalog_group(name)
     assert g.n in (8, 10, 12, 14, 16)
     t0 = time.perf_counter()
-    cert = cr_exhaustive(g, jobs=JOBS)
+    cert = cr_exhaustive(g)
     elapsed = time.perf_counter() - t0
     assert cert.value == g.n // 2
     assert elapsed <= 60.0
@@ -118,7 +116,7 @@ def test_c04_order9_closure_floors():
 def test_c05_order_pq_basis_threshold():
     t0 = time.perf_counter()
     for p, q in ((3, 5), (3, 7)):
-        rep = verify_L2_2(cyclic(p * q), jobs=JOBS)
+        rep = verify_L2_2(cyclic(p * q))
         assert rep.failures == []
         assert rep.cases_checked == math.comb(p * q - 1, p + q - 1)
     elapsed = time.perf_counter() - t0
@@ -230,7 +228,7 @@ def test_c09_oracle_equivalence_prefix_walk_vs_state_search():
             size = rng.randint(1, min(12, g.n - 1))
             members = tuple(sorted(rng.sample(range(g.n), size)))
             dp = fixed_order_reach_mask(g, members)
-            searched, _ = _state_search(g.op, g.n, g.full_mask, members, 24)
+            searched, _ = _state_search(g.op, g.full_mask, members, 24)
             assert dp == searched, (g.name, members)
             total += 1
     elapsed = time.perf_counter() - t0

@@ -230,6 +230,9 @@ def test_cache_key_ignores_jobs(capsys, tmp_path):
     assert code == 0
     assert second == first
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+    code, out, _ = run(capsys, "--jobs", "3", "verify", "L2.5i", "--group", "Z9")
+    assert code == 0
+    assert "jobs" not in json.loads(out)
 
 
 def test_pretty_output(capsys):

@@ -225,7 +225,7 @@ def test_oracle_equivalence_abelian_prefix_vs_search():
         for _ in range(40):
             members = tuple(sorted(rng.sample(range(g.n), rng.randint(1, 8))))
             dp = fixed_order_reach_mask(g, members)
-            searched, _ = _state_search(g.op, g.n, g.full_mask, members, 24)
+            searched, _ = _state_search(g.op, g.full_mask, members, 24)
             assert dp == searched
 
 

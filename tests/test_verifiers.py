@@ -41,6 +41,7 @@ def test_l21_sampled_deterministic():
     r1 = verify_L2_1(g, mode="sampled", trials=200, seed=9)
     r2 = verify_L2_1(g, mode="sampled", trials=200, seed=9)
     assert r1.cases_checked == r2.cases_checked == 200
+    assert r1.skipped == 0 and (r1.seed, r1.trials) == (9, 200)
     assert r1.failures == r2.failures == []
 
 
@@ -70,7 +71,8 @@ def test_l22_negative_probe_below_threshold():
 def test_l23_restricted_exhaustive():
     report = verify_L2_3(cyclic(9), max_set_size=3, max_b_size=4)
     assert report.failures == []
-    assert report.cases_checked > 0
+    assert (report.cases_checked, report.skipped) == (22695, 3)
+    assert report.seed is None and report.trials is None
 
 
 def test_l23_single_generator_example():
@@ -83,7 +85,7 @@ def test_l23_sampled_counts_skips():
     g = catalog_group("Z9")
     report = verify_L2_3(g, mode="sampled", trials=300, seed=5)
     assert report.failures == []
-    assert report.cases_checked + report.skipped == 300
+    assert (report.cases_checked, report.skipped) == (291, 9)
 
 
 def test_l24_z9_exhaustive_small_sizes():
@@ -108,6 +110,24 @@ def test_l24_case1_pattern():
 def test_l24_heisenberg_sampled():
     report = verify_L2_4(heisenberg(3), 3, 6, mode="sampled", trials=300, seed=11)
     assert report.failures == []
+    assert (report.cases_checked, report.skipped) == (300, 0)
+
+
+def test_l24_below_size_3_records_replayable_failures():
+    # sets of size 1 and 2 lie outside the lemma, so the floor 2|S| fails for them
+    report = verify_L2_4(cyclic(9), 1, 2)
+    assert report.cases_checked == 32 and len(report.failures) == 32
+    assert report.failures[0] == {"set": [1]}
+    assert report.failures[8] == {"set": [1, 2]}
+    assert report.failures[-1] == {"set": [5, 6]}
+    assert not report.passed
+    report = verify_L2_4(heisenberg(3), 2, 3, mode="sampled", trials=300, seed=2)
+    assert (report.cases_checked, report.skipped, len(report.failures)) == (300, 0, 43)
+    assert report.failures[0] == {"set": [5, 8]}
+    assert report.failures[-1] == {"set": [5, 6]}
+    for failure in report.failures:
+        members = failure["set"]
+        assert exact_reach_mask(heisenberg(3), members).bit_count() < 2 * len(members)
 
 
 def test_l25_all_items_both_groups():
@@ -133,14 +153,15 @@ def test_l25_requires_order_9():
 
 
 def test_l26_single_group_budgeted_partial():
-    report = verify_L2_6(group="Z27", budget=100, jobs=1)
+    report = verify_L2_6(catalog_group("Z27"), budget=100)
     assert report.complete is False
     assert report.failures == []
+    assert report.group_name == "Z27"
 
 
 def test_l26_rejects_wrong_order():
     with pytest.raises(ValueError):
-        verify_L2_6(group="Z9")
+        verify_L2_6(catalog_group("Z9"))
 
 
 def test_ineq_2_3_exhaustive_z9_up_to_size_5():
@@ -152,20 +173,20 @@ def test_ineq_2_3_exhaustive_z9_up_to_size_5():
 def test_ineq_2_3_sampled_nonabelian():
     report = verify_ineq_2_3(catalog_group("D8"), mode="sampled", trials=400, seed=3)
     assert report.failures == []
-    assert report.cases_checked == 400
+    assert (report.cases_checked, report.skipped) == (400, 0)
 
 
 def test_ineq_2_4_sampled_z27():
     report = verify_ineq_2_4(cyclic(27), trials=800, seed=3)
     assert report.failures == []
-    assert report.cases_checked + report.skipped == 800
-    assert report.cases_checked > 0  # some samples satisfy the side conditions
+    assert (report.cases_checked, report.skipped) == (56, 744)
+    assert (report.mode, report.seed, report.trials) == ("sampled", 3, 800)
 
 
 def test_ineq_2_4_skips_wide_closures():
     # tiny group: closures of sign-disjoint sets of size >= 2 exceed n/2
     report = verify_ineq_2_4(cyclic(9), trials=100, seed=1, min_size=2, max_size=3)
-    assert report.cases_checked + report.skipped == 100
+    assert (report.cases_checked, report.skipped) == (52, 48)
     assert report.failures == []
 
 
@@ -188,7 +209,7 @@ def test_cd_fold_rejects_nonprime_or_large():
 
 
 def test_t13_small_passes_and_reports_exclusion():
-    report = verify_T1_3_small(jobs=2)
+    report = verify_T1_3_small()
     assert report.failures == []
     assert "A4" in (report.notes or "")
     assert report.cases_checked == 14
