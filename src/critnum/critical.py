@@ -17,11 +17,18 @@ from .groups import (
     is_nilpotent,
     is_prime,
     prime_divisors,
+    quotient,
     smallest_prime_divisor,
     subgroup_mask,
     subgroups_of_index,
 )
-from .sumsets import DEFAULT_MASK_LIMIT, covers_group, exact_reach_mask, lambda_bits
+from .sumsets import (
+    DEFAULT_MASK_LIMIT,
+    covers_group,
+    exact_reach_mask,
+    fixed_order_reach_mask,
+    lambda_bits,
+)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -147,17 +154,6 @@ def cr_formula(g: GroupTable) -> Optional[CrCertificate]:
 # witness construction
 
 
-def _left_coset_bits(g: GroupTable, x: int, k_bits: int) -> int:
-    out = 0
-    row = g.op[x]
-    b = k_bits
-    while b:
-        h = (b & -b).bit_length() - 1
-        b &= b - 1
-        out |= 1 << row[h]
-    return out
-
-
 def _witness_for_subgroup(g: GroupTable, sub: SubgroupInfo) -> CrCertificate:
     t0 = time.perf_counter()
     p = sub.index
@@ -172,17 +168,18 @@ def _witness_for_subgroup(g: GroupTable, sub: SubgroupInfo) -> CrCertificate:
             f"witness construction needs {p - 2} coset elements but cosets have {k_size}"
         )
     x = next(i for i in range(g.n) if not k_bits >> i & 1)
-    coset = _left_coset_bits(g, x, k_bits)
-    coset_members = [i for i in range(g.n) if coset >> i & 1]
+    gk, proj = quotient(g, sub)
+    coset_members = [i for i in range(g.n) if proj[i] == proj[x]]
     t_members = sorted(
         [i for i in range(1, g.n) if k_bits >> i & 1] + coset_members[: p - 2]
     )
-    reach = exact_reach_mask(g, t_members)
-    inv_coset = _left_coset_bits(g, g.inv[x], k_bits)
-    if inv_coset & ~reach == 0:
+    # every ordered sum of distinct members projects to a subset sum of their
+    # images in the abelian G/K, so an unreached image of -x means the closure
+    # misses the whole coset -x + K
+    if fixed_order_reach_mask(gk, [proj[a] for a in t_members]) >> proj[g.inv[x]] & 1:
         raise RuntimeError(
             f"witness construction invalid for {g.name} with coset of {x}: "
-            "the closure covers the inverse coset"
+            "the image in G/K reaches the inverse coset"
         )
     lower = len(t_members) + 1
     tag = "L2.6" if g.n == 27 else ("T1.3ii" if p == 2 else "T1.2")
@@ -205,9 +202,9 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
 
     The witness takes every non-identity element of the subgroup plus p - 2
     elements of one generating coset: its closure provably misses the inverse
-    coset, which is re-verified here by exact computation.  With k omitted,
-    all normal subgroups of index p (p the smallest prime divisor) are tried
-    and the best bound kept.
+    coset, which is re-verified here by the subset sums of its image in the
+    quotient by the subgroup.  With k omitted, all normal subgroups of index
+    p (p the smallest prime divisor) are tried and the best bound kept.
     """
     if k is not None:
         return _witness_for_subgroup(g, k)
@@ -255,6 +252,13 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     is counted like a full prefix.  The memo restarts whenever the first
     element advances, which bounds its size.
 
+    With limit == 1 a first element `a` whose orbit under `symmetry_maps`
+    holds a smaller element is counted without being visited: if a set S
+    with minimum `a` were the first non-basis, its image under a map sending
+    `a` lower would be a non-basis with a smaller minimum, so it would come
+    earlier.  The count and the find are those of the full scan at every
+    cap.  Scans that collect several non-bases visit every first element.
+
     Returns the number of subsets certified or examined and the non-bases
     found (stopping after `limit` finds when limit > 0).
     """
@@ -277,13 +281,22 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     # short leaves seen so far, and the count when each open frame was entered
     short = 0
     entered = [0]
+    # first elements that a symmetry maps lower: their subtrees hold no
+    # lexicographically first non-basis, so a single-find scan counts them
+    lower = frozenset(a for a, m in enumerate(g.orbit_min) if m < a) if limit == 1 else ()
     stack = [iter(range(1, n - last))]
     while stack:
         d = len(stack) - 1
         r = reach[d]
         memo = settled[d]
+        skip = () if d else lower
         chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
         for a in stack[d]:
+            if a in skip:
+                checked += comb(n - 1 - a, last)
+                if checked >= cap:
+                    return cap, found
+                continue
             per = tables[a]
             x = r | 1 << a
             for c, v in chunks:

@@ -103,6 +103,28 @@ class GroupTable:
     def _chunk_tables(self) -> list[list[list[int]]]:
         return chunked_translation_tables(self.op, self.n)
 
+    @cached_property
+    def orbit_min(self) -> tuple[int, ...]:
+        """The smallest element of each element's orbit under `symmetry_maps`.
+
+        Union-find over one map at a time; the root of a class is always its
+        smallest member.
+        """
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for phi in symmetry_maps(self):
+            for x, y in enumerate(phi):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+        return tuple(find(x) for x in range(self.n))
+
     def translate(self, bits: int, x: int) -> int:
         """Right translate of a bit-set: {y + x : y in bits}."""
         out = 0
@@ -582,6 +604,28 @@ def quotient(g: GroupTable, k: SubgroupInfo) -> tuple[GroupTable, tuple[int, ...
                     f"quotient projection is not a homomorphism at ({a}, {b})"
                 )
     return qt, proj
+
+
+def symmetry_maps(g: GroupTable) -> Iterator[tuple[int, ...]]:
+    """Bijections of G that map bases to bases, each as an element -> image tuple.
+
+    Inversion first: -(a1 + ... + ak) = (-ak) + ... + (-a1), so the closure of
+    -S is the negated closure of S.  Then automorphisms: x -> kx for every k
+    coprime to n in an abelian group (kept as running multiples, one table
+    lookup per element and k), conjugation by every element otherwise.
+    """
+    n, op, inv = g.n, g.op, g.inv
+    yield inv
+    if g.is_abelian:
+        multiple = tuple(range(n))
+        for k in range(2, n):
+            multiple = tuple(op[m][x] for x, m in enumerate(multiple))
+            if math.gcd(k, n) == 1:
+                yield multiple
+    else:
+        for y in range(1, n):
+            row, yi = op[y], inv[y]
+            yield tuple(op[row[x]][yi] for x in range(n))
 
 
 def center(g: GroupTable) -> ElementSet:

@@ -595,8 +595,9 @@ def verify_cd_fold(qs: Sequence[int] = (2, 3, 5, 7)) -> VerificationReport:
     cases = 0
     failures: list[dict] = []
     for q in qs:
-        if not is_prime(q) or q > 13:
-            raise ValueError(f"fold check needs a prime q <= 13, got {q}")
+        # (q-1)^(q-1) tuples: 46,656 at q = 7, 10^10 at q = 11
+        if not is_prime(q) or q > 7:
+            raise ValueError(f"fold check needs a prime q <= 7, got {q}")
         g = cyclic(q)
         for tup in product(range(1, q), repeat=q - 1):
             cases += 1

@@ -2,12 +2,14 @@
 
 import math
 import random
+import time
 from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from critnum import critical
 from critnum.catalog import catalog_group, catalog_init
 from critnum.critical import (
     CrCertificate,
@@ -25,6 +27,7 @@ from critnum.groups import (
     direct_product,
     heisenberg,
     semidirect_cyclic,
+    smallest_prime_divisor,
     subgroup_closure,
     subgroups_of_index,
 )
@@ -163,6 +166,47 @@ def test_witness_lower_bound_explicit_subgroup():
     assert cert.lower_bound == 5  # 12/3 + 3 - 2
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog_init() if e.order <= 32])
+def test_witness_misses_the_whole_inverse_coset(name):
+    # the quotient check claims more than a non-basis: the closure, computed
+    # here by the exact (exponential) route, misses every element of -x + K
+    g = catalog_group(name)
+    p = smallest_prime_divisor(g.n)
+    subs = [s for s in subgroups_of_index(g, p) if s.is_normal]
+    if not subs:
+        with pytest.raises(ValueError):
+            witness_lower_bound(g)
+    for sub in subs:
+        cert = witness_lower_bound(g, sub)
+        k_bits = sub.carrier.bits
+        x = next(i for i in range(g.n) if not k_bits >> i & 1)
+        inv_coset = {g.op[g.inv[x]][h] for h in range(g.n) if k_bits >> h & 1}
+        reach = exact_reach_mask(g, cert.witness)
+        assert not any(reach >> y & 1 for y in inv_coset), (name, cert.witness)
+
+
+def test_cr_exhaustive_dihedral20_witness_through_quotient():
+    # the size-19 witness is checked in G/K, not by a 2^19-state search
+    t0 = time.perf_counter()
+    cert = cr_exhaustive(dihedral(20))
+    assert time.perf_counter() - t0 < 10
+    assert cert.value == 20
+    assert cert.witness == tuple(range(1, 20))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g", [dihedral(26), dicyclic(13)], ids=["D26", "Dic13"])
+def test_cr_order52_exact_is_26(g):
+    # the witness has 25 elements, above the complete search's mask width, so
+    # it is replayed here as generating a proper subgroup; about 5 s (D26)
+    # and 8 s (Dic13) on one core
+    cert = cr_exhaustive(g)
+    assert cert.value == cert.lower_bound == cert.upper_bound == 26
+    assert cert.theorem_tag == "T1.3ii"
+    assert len(cert.witness) == 25
+    assert subgroup_closure(g, g.subset(cert.witness)).index == 2
+
+
 def test_witness_bound_below_exhaustive():
     for name in ("Z4", "Z6", "Z9", "D3", "D4", "Dic2", "Z15"):
         g = catalog_group(name)
@@ -204,6 +248,33 @@ def test_find_nonbases_matches_per_subset_reference():
                     got = find_nonbases(g, size, budget=budget, limit=limit)
                     want = reference_nonbases(g, size, budget, limit, bases)
                     assert got == want, (entry.name, size, limit, budget)
+
+
+@pytest.mark.parametrize(
+    "name,size,full,single", [("A4", 5, 36, 25), ("D4", 4, 3, 1), ("D6", 6, 3, 1)]
+)
+def test_single_find_scan_skips_symmetric_first_elements(
+    monkeypatch, name, size, full, single
+):
+    # at t = cr both scans certify every subset; the single-find scan does
+    # not visit first elements that a symmetry maps lower, so it escalates
+    # fewer short leaves
+    g = catalog_group(name)
+    calls = []
+    escalate = critical._scan_escalate
+
+    def counted(members):
+        calls.append(members)
+        return escalate(members)
+
+    monkeypatch.setattr(critical, "_scan_escalate", counted)
+    results = []
+    for limit, want in ((0, full), (1, single)):
+        calls.clear()
+        results.append(find_nonbases(g, size, limit=limit))
+        assert len(calls) == want, limit
+    assert results[0] == results[1] == (math.comb(g.n - 1, size), [], True)
+    assert all(g.orbit_min[m[0]] == m[0] for m in calls)
 
 
 @pytest.mark.parametrize("name,size", [("Z9", 5), ("D6", 7), ("A4", 6)])

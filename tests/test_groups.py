@@ -30,6 +30,7 @@ from critnum.groups import (
     subgroup_closure,
     subgroup_mask,
     subgroups_of_index,
+    symmetry_maps,
 )
 
 
@@ -438,3 +439,46 @@ def test_translate_matches_direct_computation():
             if bits >> y & 1:
                 want |= 1 << g.op[y][x]
         assert g.translate(bits, x) == want
+
+
+def element_order(g, x):
+    k, y = 1, x
+    while y:
+        y = g.op[y][x]
+        k += 1
+    return k
+
+
+def test_orbit_representatives_of_order27_groups():
+    def reps(g):
+        return {x for x in range(1, g.n) if g.orbit_min[x] == x}
+
+    # unit multiples of Z27 keep the order: one orbit per order 27, 9, 3
+    assert reps(cyclic(27)) == {1, 3, 9}
+    # the centre {1, 2} is one inverse pair; each other conjugacy class
+    # (fixed (a, b), all c) joins the class of (-a, -b)
+    assert reps(heisenberg(3)) == {1, 3, 9, 12, 15}
+    # exponent 3: the only units are +1 and -1, so the orbits are the 13
+    # inverse pairs
+    g = catalog_group("Z3xZ3xZ3")
+    assert len(reps(g)) == 13
+    assert all(g.orbit_min[x] == min(x, g.inv[x]) for x in range(g.n))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG_DESCRIPTORS])
+def test_symmetry_maps_preserve_sums_and_orbits_preserve_order(name):
+    g = catalog_group(name)
+    n, op = g.n, g.op
+    orbit_min = g.orbit_min
+    assert orbit_min[0] == 0
+    for x in range(n):
+        assert orbit_min[x] <= x and orbit_min[orbit_min[x]] == orbit_min[x]
+        assert element_order(g, x) == element_order(g, orbit_min[x])
+    maps = list(symmetry_maps(g))
+    assert maps[0] == g.inv
+    for phi in maps:
+        assert sorted(phi) == list(range(n))
+        assert all(orbit_min[phi[x]] == orbit_min[x] for x in range(n))
+        for a in range(n):
+            for b in range(n):
+                assert phi[op[a][b]] in (op[phi[a]][phi[b]], op[phi[b]][phi[a]])

@@ -206,6 +206,11 @@ def test_cd_fold_rejects_nonprime_or_large():
         verify_cd_fold((4,))
     with pytest.raises(ValueError):
         verify_cd_fold((17,))
+    # prime, but 10^10 and 8.9 * 10^12 tuples
+    with pytest.raises(ValueError):
+        verify_cd_fold((11,))
+    with pytest.raises(ValueError):
+        verify_cd_fold((13,))
 
 
 def test_t13_small_passes_and_reports_exclusion():
