@@ -23,7 +23,7 @@ from .groups import (
     subgroups_of_index,
 )
 from .sumsets import (
-    DEFAULT_MASK_LIMIT,
+    CapacityError,
     covers_group,
     exact_reach_mask,
     fixed_order_reach_mask,
@@ -224,25 +224,25 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
 # ---------------------------------------------------------------------------
 # subset scanning (shared by exhaustive search and the verifiers)
 
-# the group and mask limit of the running scan, for the one-argument escalation hook
+# the group of the running scan, for the one-argument escalation hook
 _SCAN: dict = {}
 
 
 def _scan_escalate(members: tuple[int, ...]) -> bool:
     """Slow-path cover check of a leaf whose ascending walk fell short."""
-    return covers_group(_SCAN["g"], members, _SCAN["mask_limit"])
+    return covers_group(_SCAN["g"], members)
 
 
-def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    """Certify the first `cap` size-`size` subsets of G\\{0} in lexicographic order.
+def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Find the first non-basis among the first `cap` size-`size` subsets of G\\{0}.
 
-    A depth-first walk over the subsets carries the ascending-walk bit-set of
-    the current prefix.  The walk only grows as elements are appended, and
-    every value it reaches is an ordered sum of distinct elements, so once a
-    prefix of d elements ending in `a` reaches the whole group, all
-    C(n-1-a, size-d) completions are bases and are counted without being
-    visited.  A leaf whose walk falls short is escalated (non-abelian groups
-    only).
+    A depth-first walk over the subsets in lexicographic order carries the
+    ascending-walk bit-set of the current prefix.  The walk only grows as
+    elements are appended, and every value it reaches is an ordered sum of
+    distinct elements, so once a prefix of d elements ending in `a` reaches
+    the whole group, all C(n-1-a, size-d) completions are bases and are
+    counted without being visited.  A leaf whose walk falls short is
+    escalated (non-abelian groups only).
 
     The walk after a prefix depends only on the prefix's walk and the
     elements appended, so a finished subtree none of whose leaves fell short
@@ -252,17 +252,17 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     is counted like a full prefix.  The memo restarts whenever the first
     element advances, which bounds its size.
 
-    With limit == 1 a first element `a` whose orbit under `symmetry_maps`
-    holds a smaller element is counted without being visited: if a set S
-    with minimum `a` were the first non-basis, its image under a map sending
-    `a` lower would be a non-basis with a smaller minimum, so it would come
-    earlier.  The count and the find are those of the full scan at every
-    cap.  Scans that collect several non-bases visit every first element.
+    A first element `a` whose orbit under `symmetry_maps` holds a smaller
+    element is counted without being visited: if a set S with minimum `a`
+    were the first non-basis, its image under a map sending `a` lower would
+    be a non-basis with a smaller minimum, so it would come earlier.  The
+    count and the find are those of the full scan at every cap.
 
-    Returns the number of subsets certified or examined and the non-bases
-    found (stopping after `limit` finds when limit > 0).
+    Returns the number of subsets certified or examined and the first
+    non-basis, or None.  A leaf that escalation cannot decide (it raises
+    `CapacityError`) ends the scan uncounted, short of `cap`.
     """
-    size, cap, limit = args
+    size, cap = args
     g = _SCAN["g"]
     n = g.n
     full = g.full_mask
@@ -271,9 +271,8 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
     checked = 0
-    found: list[tuple[int, ...]] = []
     if cap <= 0:
-        return checked, found
+        return checked, None
     last = size - 1
     path = [0] * size
     reach = [0]
@@ -282,8 +281,8 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     short = 0
     entered = [0]
     # first elements that a symmetry maps lower: their subtrees hold no
-    # lexicographically first non-basis, so a single-find scan counts them
-    lower = frozenset(a for a, m in enumerate(g.orbit_min) if m < a) if limit == 1 else ()
+    # lexicographically first non-basis
+    lower = frozenset(a for a, m in enumerate(g.orbit_min) if m < a)
     stack = [iter(range(1, n - last))]
     while stack:
         d = len(stack) - 1
@@ -295,7 +294,7 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
             if a in skip:
                 checked += comb(n - 1 - a, last)
                 if checked >= cap:
-                    return cap, found
+                    return cap, None
                 continue
             per = tables[a]
             x = r | 1 << a
@@ -304,7 +303,7 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
             if x == full or memo.get(x, n) <= a:
                 checked += comb(n - 1 - a, last - d)
                 if checked >= cap:
-                    return cap, found
+                    return cap, None
                 continue
             path[d] = a
             if d < last:
@@ -316,14 +315,16 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
                 stack.append(iter(range(a + 1, n - last + d + 1)))
                 break
             short += 1
-            checked += 1
             members = tuple(path)
-            if not (escalate and _scan_escalate(members)):
-                found.append(members)
-                if limit and len(found) >= limit:
-                    return checked, found
+            try:
+                basis = escalate and _scan_escalate(members)
+            except CapacityError:
+                return checked, None
+            checked += 1
+            if not basis:
+                return checked, members
             if checked >= cap:
-                return checked, found
+                return checked, None
         else:
             stack.pop()
             reach.pop()
@@ -331,34 +332,30 @@ def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
                 # a descent happens only when no entry certifies it, so this
                 # a0 is the smallest seen for the walk
                 settled[d - 1][r] = path[d - 1]
-    return checked, found
+    return checked, None
 
 
 def find_nonbases(
-    g: GroupTable,
-    size: int,
-    *,
-    budget: Optional[int] = None,
-    limit: int = 1,
-    mask_limit: int = DEFAULT_MASK_LIMIT,
-) -> tuple[int, list[tuple[int, ...]], bool]:
-    """Scan all size-`size` subsets of G\\{0} in lexicographic order for non-bases.
+    g: GroupTable, size: int, *, budget: Optional[int] = None
+) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    """Scan the size-`size` subsets of G\\{0} in lexicographic order for a non-basis.
 
-    Returns (subsets checked, non-bases found, complete) where complete means
-    the scan either covered every subset or stopped early at the find limit.
-    A budget caps the number of subsets examined or certified.
+    Returns (subsets checked, first non-basis or None, complete), where
+    complete means every subset was certified or a non-basis was found.  A
+    budget caps the number of subsets examined or certified; a leaf that no
+    route can decide also leaves the scan incomplete.  The empty set is a
+    non-basis, so test the find with `is not None`.
     """
     if not 0 <= size <= g.n - 1:
-        return 0, [], True
+        return 0, None, True
     total = math.comb(g.n - 1, size)
     cap = total if budget is None else min(total, budget)
     if size == 0:
-        checked, found = (1, [()]) if cap > 0 else (0, [])
+        checked, found = (1, ()) if cap > 0 else (0, None)
     else:
-        _SCAN.update(g=g, mask_limit=mask_limit)
-        checked, found = _scan_task((size, cap, limit))
-    complete = cap >= total or (limit and len(found) >= limit)
-    return checked, found, bool(complete)
+        _SCAN["g"] = g
+        checked, found = _scan_task((size, cap))
+    return checked, found, found is not None or checked >= total
 
 
 # ---------------------------------------------------------------------------
@@ -366,42 +363,42 @@ def find_nonbases(
 
 
 def cr_exhaustive(g: GroupTable, budget: Optional[int] = None) -> CrCertificate:
-    """Exact critical number by monotone exhaustive search.
+    """Exact critical number by an upward exhaustive search.
 
-    A candidate is taken from the formula oracle (or the witness bound) and
-    adjusted until every subset of size t is a basis while some subset of
-    size t - 1 is not; downward closure of non-bases makes that value exact.
-    If the budget runs out first, a partial certificate with bounds only is
-    returned.
+    Starting just above the witness (or at size 2 without one), each size t
+    is scanned for its first non-basis until a scan finds none.  Non-bases
+    are closed under taking subsets, so the non-basis of size t - 1 and the
+    clean scan of size t make t exact; the formula oracle only supplies the
+    tag.  If the budget runs out, or a leaf cannot be decided, a partial
+    certificate with bounds only is returned.
     """
     t_start = time.perf_counter()
     n = g.n
     checked_total = 0
     known: dict[int, tuple[int, ...]] = {}
-
-    formula = cr_formula(g)
-    witness_cert: Optional[CrCertificate] = None
     try:
-        witness_cert = witness_lower_bound(g)
+        witness = witness_lower_bound(g).witness
     except ValueError:
-        pass
-    if witness_cert is not None and witness_cert.witness is not None:
-        known[len(witness_cert.witness)] = witness_cert.witness
+        witness = None
+    if witness is not None:
+        known[len(witness)] = witness
         checked_total += 1
-    if formula is not None and formula.value is not None:
-        t = formula.value
-    elif witness_cert is not None:
-        t = witness_cert.lower_bound
+        t = len(witness) + 1
     else:
-        t = 2
-    t = max(1, min(t, n))
+        # only Z1 and groups of order >= 5 have no witness, and in the latter
+        # no 2-subset (at most 4 sums) is a basis
+        t = min(2, n)
+    while True:
+        remaining = None if budget is None else max(0, budget - checked_total)
+        checked, found, complete = find_nonbases(g, t, budget=remaining)
+        checked_total += checked
+        if found is None:
+            break
+        known[t] = found
+        t += 1
 
-    def remaining() -> Optional[int]:
-        return None if budget is None else max(0, budget - checked_total)
-
-    def partial() -> CrCertificate:
+    if not complete:
         lower = 1 + max(known, default=0)
-        witness = known.get(max(known)) if known else None
         return CrCertificate(
             group_name=g.name,
             n=n,
@@ -410,49 +407,27 @@ def cr_exhaustive(g: GroupTable, budget: Optional[int] = None) -> CrCertificate:
             lower_bound=lower,
             upper_bound=n,
             theorem_tag=None,
-            witness=witness,
+            witness=known.get(lower - 1),
             subsets_checked=checked_total,
             elapsed_ms=_elapsed_ms(t_start),
-            notes="budget exhausted: bounds only",
+            notes=(
+                "budget exhausted: bounds only"
+                if remaining is not None and checked >= remaining
+                else "a scan leaf went undecided: bounds only"
+            ),
         )
-
-    while True:
-        if t <= n - 1:
-            checked, found, complete = find_nonbases(g, t, budget=remaining(), limit=1)
-            checked_total += checked
-            if found:
-                known[t] = found[0]
-                t += 1
-                continue
-            if not complete:
-                return partial()
-        if t - 1 in known or t - 1 == 0:
-            value = t
-            witness = known.get(t - 1, ())
-            break
-        checked, found, complete = find_nonbases(g, t - 1, budget=remaining(), limit=1)
-        checked_total += checked
-        if found:
-            known[t - 1] = found[0]
-            value = t
-            witness = found[0]
-            break
-        if not complete:
-            return partial()
-        t -= 1
-
-    tag = None
-    if formula is not None and formula.value == value:
-        tag = formula.theorem_tag
+    # every size below the first clean scan holds a non-basis; Z1's is the empty set
+    assert t == 1 or t - 1 in known, f"{g.name}: no non-basis of size {t - 1}"
+    formula = cr_formula(g)
     return CrCertificate(
         group_name=g.name,
         n=n,
         method="exhaustive",
-        value=value,
-        lower_bound=value,
-        upper_bound=value,
-        theorem_tag=tag,
-        witness=tuple(witness),
+        value=t,
+        lower_bound=t,
+        upper_bound=t,
+        theorem_tag=formula.theorem_tag if formula is not None and formula.value == t else None,
+        witness=known.get(t - 1, ()),
         subsets_checked=checked_total,
         elapsed_ms=_elapsed_ms(t_start),
     )

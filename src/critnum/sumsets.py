@@ -9,11 +9,12 @@ from typing import Optional, Sequence
 
 from .groups import ElementSet, GroupTable
 
-DEFAULT_MASK_LIMIT = 24
+# widest set the complete search takes: it may hold up to 2^k * n states
+MASK_LIMIT = 24
 
 
 class CapacityError(ValueError):
-    """Exact closure would need a wider subset mask than allowed."""
+    """Exact closure would need a wider subset mask than `MASK_LIMIT`."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,8 @@ def _dp_covers(g: GroupTable, members: Sequence[int]) -> bool:
 
 
 def _state_search(
-    op: Sequence[Sequence[int]],
-    full: int,
+    g: GroupTable,
     members: Sequence[int],
-    mask_limit: int,
     want_levels: bool = False,
     stop_at_full: bool = False,
 ) -> tuple[int, Optional[list[int]]]:
@@ -82,13 +81,15 @@ def _state_search(
     Explores every ordering of every distinct-element selection by appending
     one unused element at a time.  With `stop_at_full` the walk stops as soon
     as every group element has been produced, which keeps the reached set
-    exact; per-cardinality levels require the full walk.
+    exact; per-cardinality levels require the full walk.  Raises
+    `CapacityError` on more than `MASK_LIMIT` members.
     """
     k = len(members)
-    if k > mask_limit:
+    if k > MASK_LIMIT:
         raise CapacityError(
-            f"subset of size {k} exceeds the exact-search mask width limit {mask_limit}"
+            f"subset of size {k} exceeds the exact-search mask width limit {MASK_LIMIT}"
         )
+    op, full = g.op, g.full_mask
     reached = 0
     levels: Optional[list[int]] = [0] * (k + 1) if want_levels else None
     seen = set()
@@ -128,9 +129,7 @@ def _state_search(
     return reached, levels
 
 
-def _closure(
-    g: GroupTable, members: Sequence[int], mask_limit: int
-) -> tuple[int, bool]:
+def _closure(g: GroupTable, members: Sequence[int]) -> tuple[int, bool]:
     """The exact closure as a bit-set, with the `SumsetClosure.exact` flag.
 
     Abelian groups take the fixed-order walk, which is exact for them.  In a
@@ -142,22 +141,22 @@ def _closure(
         return fixed_order_reach_mask(g, members), True
     if _dp_covers(g, members):
         return g.full_mask, False
-    reached, _ = _state_search(g.op, g.full_mask, members, mask_limit, stop_at_full=True)
+    reached, _ = _state_search(g, members, stop_at_full=True)
     return reached, True
 
 
-def exact_reach_mask(
-    g: GroupTable, members: Sequence[int], mask_limit: int = DEFAULT_MASK_LIMIT
-) -> int:
+def exact_reach_mask(g: GroupTable, members: Sequence[int]) -> int:
     """The exact closure as a bit-set, taking the cheapest sound route."""
-    return _closure(g, tuple(members), mask_limit)[0]
+    return _closure(g, tuple(members))[0]
 
 
-def covers_group(
-    g: GroupTable, members: Sequence[int], mask_limit: int = DEFAULT_MASK_LIMIT
-) -> bool:
-    """Whether the closure of the given elements is the whole group."""
-    return exact_reach_mask(g, members, mask_limit) == g.full_mask
+def covers_group(g: GroupTable, members: Sequence[int]) -> bool:
+    """Whether the closure of the given elements is the whole group.
+
+    Raises `CapacityError` on a non-abelian set of more than `MASK_LIMIT`
+    elements that no walk order covers.
+    """
+    return exact_reach_mask(g, members) == g.full_mask
 
 
 def _levels_abelian(g: GroupTable, members: Sequence[int]) -> list[int]:
@@ -175,21 +174,16 @@ def _levels_abelian(g: GroupTable, members: Sequence[int]) -> list[int]:
     return levels
 
 
-def sigma(
-    g: GroupTable,
-    s: ElementSet,
-    want_by_cardinality: bool = False,
-    mask_limit: int = DEFAULT_MASK_LIMIT,
-) -> SumsetClosure:
+def sigma(g: GroupTable, s: ElementSet, want_by_cardinality: bool = False) -> SumsetClosure:
     """Closure of `s` under sums of distinct elements taken in any order."""
     members = s.indices()
     if not want_by_cardinality:
-        reached, exact = _closure(g, members, mask_limit)
+        reached, exact = _closure(g, members)
         return SumsetClosure(ElementSet(g, reached), None, exact)
     if g.is_abelian:
         levels = _levels_abelian(g, members)
     else:
-        _, levels = _state_search(g.op, g.full_mask, members, mask_limit, want_levels=True)
+        _, levels = _state_search(g, members, want_levels=True)
         assert levels is not None
     reached = 0
     for lv in levels:
@@ -198,14 +192,12 @@ def sigma(
     return SumsetClosure(ElementSet(g, reached), by_card, True)
 
 
-def sigma_r(
-    g: GroupTable, s: ElementSet, r: int, mask_limit: int = DEFAULT_MASK_LIMIT
-) -> ElementSet:
+def sigma_r(g: GroupTable, s: ElementSet, r: int) -> ElementSet:
     """Values of ordered sums of exactly r distinct elements of s."""
     k = len(s)
     if not 1 <= r <= k:
         raise ValueError(f"cardinality r={r} out of range 1..{k}")
-    by_card = sigma(g, s, want_by_cardinality=True, mask_limit=mask_limit).by_cardinality
+    by_card = sigma(g, s, want_by_cardinality=True).by_cardinality
     assert by_card is not None
     return by_card[r]
 

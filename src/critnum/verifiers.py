@@ -217,13 +217,13 @@ def verify_L2_2(
         )
     size = p + q - 1
     if _pick_mode(mode, g, 35) == "exhaustive":
-        checked, found, complete = find_nonbases(g, size, limit=8)
+        checked, found, complete = find_nonbases(g, size)
         return VerificationReport(
             lemma_id="L2.2",
             group_name=g.name,
             mode="exhaustive",
             cases_checked=checked,
-            failures=[{"set": list(comb)} for comb in found],
+            failures=[] if found is None else [{"set": list(found)}],
             elapsed_ms=_ms(t0),
             complete=complete,
         )

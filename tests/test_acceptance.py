@@ -228,7 +228,7 @@ def test_c09_oracle_equivalence_prefix_walk_vs_state_search():
             size = rng.randint(1, min(12, g.n - 1))
             members = tuple(sorted(rng.sample(range(g.n), size)))
             dp = fixed_order_reach_mask(g, members)
-            searched, _ = _state_search(g.op, g.full_mask, members, 24)
+            searched, _ = _state_search(g, members)
             assert dp == searched, (g.name, members)
             total += 1
     elapsed = time.perf_counter() - t0

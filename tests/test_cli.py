@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from critnum import sumsets
 from critnum.cli import cli_dispatch
 
 
@@ -112,6 +113,16 @@ def test_verify_l26_single_group(capsys):
     assert report["failures"] == []
     assert report["group_name"] == "Z27"
     assert report["complete"] is False  # budget-capped partial run
+
+
+def test_cr_exact_undecided_leaf_exit_three(capsys, monkeypatch):
+    # a non-basis wider than the complete search takes ends the scan incomplete
+    monkeypatch.setattr(sumsets, "MASK_LIMIT", 3)
+    code, out, _ = run(capsys, "cr", "exact", "--group", "A4", "--no-cache")
+    assert code == 3
+    cert = json.loads(out)
+    assert cert["value"] is None and cert["lower_bound"] == 4
+    assert "undecided" in cert["notes"]
 
 
 def test_cr_exact_budget_exhausted_exit_three(capsys):

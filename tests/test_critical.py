@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from critnum import critical
+from critnum import critical, sumsets
 from critnum.catalog import catalog_group, catalog_init
 from critnum.critical import (
     CrCertificate,
@@ -31,7 +31,7 @@ from critnum.groups import (
     subgroup_closure,
     subgroups_of_index,
 )
-from critnum.sumsets import covers_group, exact_reach_mask, fixed_order_reach_mask
+from critnum.sumsets import CapacityError, covers_group, exact_reach_mask, fixed_order_reach_mask
 
 
 def brute_cr(g):
@@ -215,24 +215,22 @@ def test_witness_bound_below_exhaustive():
 
 def test_find_nonbases_empty_set_is_nonbasis():
     checked, found, complete = find_nonbases(cyclic(5), 0)
-    assert found == [()]
+    assert found == ()
     assert complete
 
 
-def reference_nonbases(g, size, budget, limit, bases=None):
+def reference_nonbases(g, size, budget, bases=None):
     """Oracle: every subset in lexicographic order, each checked by covers_group."""
     if bases is None:
         bases = (covers_group(g, c) for c in combinations(range(1, g.n), size))
     total = math.comb(g.n - 1, size)
     cap = total if budget is None else min(total, budget)
-    checked, found = 0, []
+    checked = 0
     for comb, ok in islice(zip(combinations(range(1, g.n), size), bases), cap):
         checked += 1
         if not ok:
-            found.append(comb)
-            if limit and len(found) >= limit:
-                break
-    return checked, found, cap >= total or bool(limit and len(found) >= limit)
+            return checked, comb, True
+    return checked, None, cap >= total
 
 
 def test_find_nonbases_matches_per_subset_reference():
@@ -243,11 +241,30 @@ def test_find_nonbases_matches_per_subset_reference():
         for size in range(g.n):
             bases = [covers_group(g, c) for c in combinations(range(1, g.n), size)]
             total = len(bases)
-            for limit in (0, 1, 8):
-                for budget in (None, 1, 7, total // 3, total - 1):
-                    got = find_nonbases(g, size, budget=budget, limit=limit)
-                    want = reference_nonbases(g, size, budget, limit, bases)
-                    assert got == want, (entry.name, size, limit, budget)
+            for budget in (None, 0, 1, 7, total // 3, total - 1):
+                got = find_nonbases(g, size, budget=budget)
+                want = reference_nonbases(g, size, budget, bases)
+                assert got == want, (entry.name, size, budget)
+
+
+def test_undecided_leaf_ends_the_scan_incomplete():
+    # the first leaf is the 25 non-identity rotations: a non-basis that no
+    # walk order covers, wider than the complete search takes
+    g = dihedral(26)
+    with pytest.raises(CapacityError):
+        covers_group(g, range(1, 26))
+    assert find_nonbases(g, 25, budget=1) == (0, None, False)
+    assert find_nonbases(g, 25) == (0, None, False)
+
+
+def test_undecided_leaf_leaves_cr_exhaustive_partial(monkeypatch):
+    # with the search narrowed to 3 members, A4's first non-basis of size 4
+    # cannot be decided, so only the size-3 non-basis bounds cr
+    monkeypatch.setattr(sumsets, "MASK_LIMIT", 3)
+    cert = cr_exhaustive(catalog_group("A4"))
+    assert cert.value is None
+    assert (cert.lower_bound, cert.upper_bound) == (4, 12)
+    assert len(cert.witness) == 3 and "undecided" in cert.notes
 
 
 @pytest.mark.parametrize(
@@ -256,10 +273,12 @@ def test_find_nonbases_matches_per_subset_reference():
 def test_single_find_scan_skips_symmetric_first_elements(
     monkeypatch, name, size, full, single
 ):
-    # at t = cr both scans certify every subset; the single-find scan does
-    # not visit first elements that a symmetry maps lower, so it escalates
-    # fewer short leaves
+    # at t = cr the scan certifies every subset; it does not visit first
+    # elements that a symmetry maps lower, so it escalates fewer short leaves
+    # than the same scan on a fresh table whose orbits are all singletons
     g = catalog_group(name)
+    unskipped = catalog_group.__wrapped__(name)
+    unskipped.__dict__["orbit_min"] = tuple(range(unskipped.n))
     calls = []
     escalate = critical._scan_escalate
 
@@ -269,22 +288,32 @@ def test_single_find_scan_skips_symmetric_first_elements(
 
     monkeypatch.setattr(critical, "_scan_escalate", counted)
     results = []
-    for limit, want in ((0, full), (1, single)):
+    for h, want in ((unskipped, full), (g, single)):
         calls.clear()
-        results.append(find_nonbases(g, size, limit=limit))
-        assert len(calls) == want, limit
-    assert results[0] == results[1] == (math.comb(g.n - 1, size), [], True)
+        results.append(find_nonbases(h, size))
+        assert len(calls) == want, h is g
+    assert results[0] == results[1] == (math.comb(g.n - 1, size), None, True)
     assert all(g.orbit_min[m[0]] == m[0] for m in calls)
+    # the skip keeps the count and the find of the full scan at every budget,
+    # also one size down, where a non-basis is found
+    for s in (size - 1, size):
+        total = math.comb(g.n - 1, s)
+        for budget in (None, *range(0, total + 1, max(1, total // 60))):
+            got = find_nonbases(g, s, budget=budget)
+            assert got == find_nonbases(unskipped, s, budget=budget), (s, budget)
 
 
 @pytest.mark.parametrize("name,size", [("Z9", 5), ("D6", 7), ("A4", 6)])
 def test_budget_ending_inside_pruned_subtree(name, size):
-    # the first prefix whose ascending walk already covers G roots a subtree
-    # the scan certifies without visiting; a budget ending inside it must
-    # certify exactly that subtree's first ranks
+    # at these sizes (>= cr) the scan visits every first element that no
+    # symmetry maps lower; the first such prefix whose ascending walk already
+    # covers G roots a subtree the scan certifies without visiting, and a
+    # budget ending inside it must certify exactly that subtree's first ranks
     g = catalog_group(name)
     combs = list(combinations(range(1, g.n), size))
     for rank, comb in enumerate(combs):
+        if g.orbit_min[comb[0]] != comb[0]:
+            continue
         depth = next(
             (d for d in range(1, size) if fixed_order_reach_mask(g, comb[:d]) == g.full_mask),
             None,
@@ -296,9 +325,10 @@ def test_budget_ending_inside_pruned_subtree(name, size):
     a = comb[depth - 1]
     assert combs[rank] == comb[:depth] + tuple(range(a + 1, a + 1 + size - depth))
     budget = rank + 2
-    got = find_nonbases(g, size, budget=budget, limit=0)
-    assert got == reference_nonbases(g, size, budget, 0)
-    assert got[0] == budget
+    got = find_nonbases(g, size, budget=budget)
+    assert got == reference_nonbases(g, size, budget)
+    assert got == (budget, None, False)
+    assert find_nonbases(g, size) == (len(combs), None, True)
 
 
 def memo_certified_prefixes(g, size):
@@ -327,23 +357,26 @@ def memo_certified_prefixes(g, size):
                 settled[walk] = p[-1]
 
 
-@pytest.mark.parametrize("name,size", [("D6", 5), ("A4", 5), ("Z15", 5), ("D7", 7)])
+@pytest.mark.parametrize("name,size", [("D6", 6), ("A4", 5), ("Z15", 7), ("D7", 7)])
 def test_budget_ending_inside_memo_certified_subtree(name, size):
     # the scan counts a prefix whose walk equals that of an earlier settled
     # subtree without visiting it; a budget ending inside it must certify
-    # exactly that subtree's first ranks
+    # exactly that subtree's first ranks.  At these sizes (cr) every first
+    # element that no symmetry maps lower is visited.
     g = catalog_group(name)
     combs = list(combinations(range(1, g.n), size))
     bases = [covers_group(g, c) for c in combs]
-    prefixes = list(memo_certified_prefixes(g, size))
+    assert all(bases)
+    prefixes = [p for p in memo_certified_prefixes(g, size) if g.orbit_min[p[0]] == p[0]]
     assert prefixes, "no memo-certified subtree of three or more subsets"
     for prefix in prefixes:
         a = prefix[-1]
         first = prefix + tuple(range(a + 1, a + 1 + size - len(prefix)))
         budget = combs.index(first) + 2
-        got = find_nonbases(g, size, budget=budget, limit=0)
-        assert got == reference_nonbases(g, size, budget, 0, bases), prefix
-        assert got[0] == budget
+        got = find_nonbases(g, size, budget=budget)
+        assert got == reference_nonbases(g, size, budget, bases), prefix
+        assert got == (budget, None, False)
+    assert find_nonbases(g, size) == (len(combs), None, True)
 
 
 @st.composite
@@ -370,10 +403,9 @@ def test_find_nonbases_matches_reference_on_constructed_groups(data):
     g = data.draw(constructed_groups())
     size = data.draw(st.integers(0, g.n - 1), label="size")
     total = math.comb(g.n - 1, size)
-    limit = data.draw(st.sampled_from([0, 1]), label="limit")
     budget = data.draw(st.none() | st.integers(0, total), label="budget")
-    got = find_nonbases(g, size, budget=budget, limit=limit)
-    assert got == reference_nonbases(g, size, budget, limit)
+    got = find_nonbases(g, size, budget=budget)
+    assert got == reference_nonbases(g, size, budget)
 
 
 def test_cr_exhaustive_budget_partial():
@@ -440,6 +472,25 @@ def test_formula_agrees_with_exhaustive_up_to_order_21():
         if predicted is None:
             continue
         assert cr_exhaustive(g).value == predicted.value, entry.name
+
+
+@pytest.mark.parametrize("name", ["D3", "D6", "Z9", "A4", "H27"])
+@pytest.mark.parametrize("shift", [2, -1])
+def test_wrong_formula_does_not_steer_the_search(monkeypatch, name, shift):
+    # the formula only tags the result: an oracle predicting cr + 2 or cr - 1
+    # leaves every scan, count and witness as it was, and drops the tag
+    g = catalog_group(name)
+    want = cr_exhaustive(g).to_json()
+
+    def wrong(h):
+        v = want["value"] + shift
+        return CrCertificate(h.name, h.n, "formula", v, v, v, theorem_tag="T0")
+
+    monkeypatch.setattr(critical, "cr_formula", wrong)
+    got = cr_exhaustive(g).to_json()
+    want.update(theorem_tag=None, elapsed_ms=None)
+    got.update(elapsed_ms=None)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

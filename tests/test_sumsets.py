@@ -1,13 +1,25 @@
 """Subset-sum closures checked against permutation brute force."""
 
+import math
 import random
 import zlib
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from critnum import sumsets
 from critnum.catalog import catalog_group, catalog_init
-from critnum.groups import ElementSet, cyclic, dihedral, dicyclic, heisenberg
+from critnum.groups import (
+    ElementSet,
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product,
+    heisenberg,
+    semidirect_cyclic,
+)
 from critnum.sumsets import (
     CapacityError,
     _alt_orders,
@@ -225,7 +237,7 @@ def test_oracle_equivalence_abelian_prefix_vs_search():
         for _ in range(40):
             members = tuple(sorted(rng.sample(range(g.n), rng.randint(1, 8))))
             dp = fixed_order_reach_mask(g, members)
-            searched, _ = _state_search(g.op, g.full_mask, members, 24)
+            searched, _ = _state_search(g, members)
             assert dp == searched
 
 
@@ -242,12 +254,14 @@ def test_removal_inequality_sampled():
             assert b.bit_count() >= rest.bit_count() + lam
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
     g = heisenberg(3)
     with pytest.raises(CapacityError):
         sigma(g, g.subset(range(1, 27)), want_by_cardinality=True)
+    monkeypatch.setattr(sumsets, "MASK_LIMIT", 4)
     with pytest.raises(CapacityError):
-        sigma(g, g.subset([1, 2, 3, 4, 5]), want_by_cardinality=True, mask_limit=4)
+        sigma(g, g.subset([1, 2, 3, 4, 5]), want_by_cardinality=True)
+    monkeypatch.undo()
     # dense non-abelian sets without the by-cardinality request take the
     # fixed-order shortcut and never hit the mask limit
     assert sigma(g, g.subset(range(1, 27))).full.bits == g.full_mask
@@ -293,3 +307,41 @@ def test_closure_routes_match_brute_force_on_nonabelian_catalog_groups():
                 assert set(sigma_r(g, s, r)) == level
     # both the walk-settled and the searched routes were taken
     assert {(True, False), (False, True)} <= routes
+
+
+# k^b = 1 mod a with k != 1, so semidirect_cyclic(a, b, k) is non-abelian, of order ab <= 18
+SEMIDIRECT = [
+    (a, b, k)
+    for a in range(3, 10)
+    for b in range(2, 18 // a + 1)
+    for k in range(2, a)
+    if math.gcd(k, a) == 1 and pow(k, b, a) == 1
+]
+
+
+@st.composite
+def nonabelian_groups(draw):
+    """Non-abelian groups of order <= 18 from the constructors, not from the catalog."""
+    kind = draw(st.sampled_from(["semidirect", "dihedral", "dicyclic", "product"]))
+    if kind == "dihedral":
+        return dihedral(draw(st.integers(3, 9)))
+    if kind == "dicyclic":
+        return dicyclic(draw(st.integers(2, 4)))
+    if kind == "semidirect":
+        return semidirect_cyclic(*draw(st.sampled_from(SEMIDIRECT)))
+    left = draw(st.sampled_from([cyclic(2), cyclic(3)]))
+    return direct_product(left, draw(st.sampled_from([dihedral(3), dihedral(4), dicyclic(2)])))
+
+
+@given(data=st.data())
+def test_nonabelian_closure_matches_brute_force(data):
+    g = data.draw(nonabelian_groups())
+    assert not g.is_abelian
+    members = data.draw(
+        st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6, unique=True), label="set"
+    )
+    s = g.subset(members)
+    levels = {r: brute_sigma(g, members, r) for r in range(1, len(members) + 1)}
+    assert set(sigma(g, s).full) == set().union(*levels.values())
+    by_card = sigma(g, s, want_by_cardinality=True).by_cardinality
+    assert {r: set(level) for r, level in by_card.items()} == levels
