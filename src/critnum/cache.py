@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -20,6 +19,10 @@ DEFAULT_PATH = "./critnum-cache.jsonl"
 
 
 def params_hash(params: dict) -> str:
+    # imported here: hashlib loads OpenSSL, which commands that never touch
+    # the cache should not pay for in memory
+    import hashlib
+
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

@@ -505,7 +505,10 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
     Built by greedy removal from the top: at each stage the element with the
     largest lambda against the closure of the remaining set (ties to the
     smallest index) is placed last.  The critical index is the largest t whose
-    preceding prefix generates a proper subgroup.
+    preceding prefix generates a proper subgroup.  The stage that leaves j
+    elements has the prefix `ordering[:j]` as its set, so its closure is kept:
+    a prefix whose closure with 0 holds more than n/2 elements generates the
+    whole group (Lagrange), and its subgroup is not computed.
     """
     if len(x) == 0:
         raise ValueError("resolving sequence needs a nonempty set")
@@ -515,10 +518,11 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
     k = len(members)
     ordering = [0] * k
     lambdas = [0] * k
-    prefix_sizes = [0] * k
+    closures = [0] * k
     current = list(members)
     for i in range(k, 0, -1):
         b = exact_reach_mask(g, current)
+        closures[i - 1] = b
         best_y = -1
         best_lam = -1
         for y in current:
@@ -528,12 +532,13 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
                 best_y = y
         ordering[i - 1] = best_y
         lambdas[i - 1] = best_lam
-        prefix_sizes[i - 1] = b.bit_count()
         current.remove(best_y)
     t = 1
     prefix = x.bits
     for j in range(k - 1, 0, -1):
         prefix &= ~(1 << ordering[j])
+        if 2 * (closures[j - 1] | 1).bit_count() > g.n:
+            continue
         if subgroup_mask(g, prefix) != g.full_mask:
             t = j + 1
             break
@@ -541,5 +546,5 @@ def resolving_sequence(g: GroupTable, x: ElementSet) -> ResolvingSequence:
         ordering=tuple(ordering),
         lambdas=tuple(lambdas),
         critical_index=t,
-        prefix_sizes=tuple(prefix_sizes),
+        prefix_sizes=tuple(b.bit_count() for b in closures),
     )

@@ -63,9 +63,15 @@ def _alt_orders(members: Sequence[int]) -> list[list[int]]:
 
 
 def _dp_covers(g: GroupTable, members: Sequence[int]) -> bool:
-    """Tiered fixed-order probes: input order, then reversal and seeded shuffles."""
+    """Tiered fixed-order probes: input order, then reversal and seeded shuffles.
+
+    One order of k elements reaches at most 2^k - 1 subsequence sums, so the
+    reorderings are tried only when 2^k > n; below that none of them can cover.
+    """
     full = g.full_mask
-    return fixed_order_reach_mask(g, members) == full or any(
+    if fixed_order_reach_mask(g, members) == full:
+        return True
+    return 1 << len(members) > g.n and any(
         fixed_order_reach_mask(g, order) == full for order in _alt_orders(members)
     )
 

@@ -1,10 +1,15 @@
 """Catalog integrity and JSON-lines cache semantics."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import critnum
 from critnum.cache import ResultCache, params_hash
 from critnum.catalog import (
     CATALOG_DESCRIPTORS,
@@ -133,6 +138,23 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
 def test_params_hash_is_order_insensitive():
     assert params_hash({"a": 1, "b": 2}) == params_hash({"b": 2, "a": 1})
     assert params_hash({"a": 1}) != params_hash({"a": 2})
+
+
+def test_params_hash_digest_is_stable():
+    # a cache written by an earlier version keeps its keys
+    assert params_hash({"a": 1, "b": 2}) == (
+        "43258cff783fe7036d8a43033f830adfc60ec037382473548ac742b888292777"
+    )
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL; only a cache lookup should pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(critnum.__file__).parents[1]))
+    code = "import sys, critnum; print('hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cache_lock_reentrant_sessions(tmp_path):

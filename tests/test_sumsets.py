@@ -3,7 +3,7 @@
 import math
 import random
 import zlib
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -281,6 +281,42 @@ def test_alt_orders_seed_unchanged_below_256():
         rng.shuffle(order)
         expected.append(order)
     assert _alt_orders(members) == expected
+
+
+@pytest.mark.parametrize("name", ["D3", "D4", "Dic2", "D5", "A4"])
+def test_no_order_of_a_small_set_covers(name):
+    # one order of k elements has 2^k - 1 nonempty subsequences, so at the
+    # largest k with 2^k <= n no order of any k-subset reaches all n elements
+    g = catalog_group(name)
+    k = g.n.bit_length() - 1
+    for members in combinations(range(g.n), k):
+        for order in permutations(members):
+            assert fixed_order_reach_mask(g, order) != g.full_mask
+
+
+@pytest.mark.parametrize(
+    "group, members", [(dihedral(3), [1, 3, 5]), (dihedral(4), [3, 4, 5, 6])]
+)
+def test_probe_covers_at_the_smallest_size_it_can(group, members):
+    # 2^k > n >= 2^(k-1): the input order falls short and a reordering covers,
+    # so the search is skipped (exact False)
+    assert 1 << len(members) > group.n >= 1 << (len(members) - 1)
+    assert fixed_order_reach_mask(group, members) != group.full_mask
+    clo = sigma(group, group.subset(members))
+    assert clo.exact is False
+    assert len(clo.full) == group.n
+
+
+def test_no_probe_on_a_set_too_small_to_cover(monkeypatch):
+    g = dihedral(4)
+    members = [1, 4, 5]
+    assert fixed_order_reach_mask(g, members) != g.full_mask
+    calls = []
+    monkeypatch.setattr(sumsets, "_alt_orders", lambda m: calls.append(m) or _alt_orders(m))
+    clo = sigma(g, g.subset(members))
+    assert calls == []
+    assert clo.exact is True
+    assert set(clo.full) == brute_sigma(g, members)
 
 
 def test_closure_routes_match_brute_force_on_nonabelian_catalog_groups():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from critnum import verifiers
 from critnum.catalog import catalog_group
 from critnum.groups import cyclic, dihedral, direct_product, heisenberg
 from critnum.sumsets import covers_group, exact_reach_mask, sumset
@@ -79,6 +80,21 @@ def test_l23_single_generator_example():
     g = cyclic(7)
     report = verify_L2_3(g, max_set_size=1, max_b_size=3)
     assert report.failures == []
+
+
+@pytest.mark.parametrize("lam, fails", [(1, True), (2, False)])
+def test_l23_bound_uses_the_symmetric_spread(monkeypatch, lam, fails):
+    # S = {1, 2} in Z7 has |S u -S| = 4, so for B = {0, 1} the bound is
+    # min(2(|B| + 1), |S u -S| + 2) = 6: a gain of 1 (4 < 6) misses it and a
+    # gain of 2 (8) meets it.  With |S| in place of |S u -S| the bound would
+    # be 4, and a gain of 1 would pass.
+    monkeypatch.setattr(verifiers, "lambda_bits", lambda g, b_bits, x: lam)
+    report = verify_L2_3(cyclic(7), mode="exhaustive", max_set_size=2, max_b_size=3)
+    assert report.cases_checked > 0
+    if fails:
+        assert {"set": [1, 2], "B": [0, 1]} in report.failures
+    else:
+        assert report.failures == []
 
 
 def test_l23_sampled_counts_skips():
