@@ -28,6 +28,11 @@ from .groups import (
 from .sumsets import sigma
 from .verifiers import DEFAULT_TRIALS
 
+# part of every cache key; raise it whenever a command's record can change
+# for the same arguments, so records of an older engine are misses.  1: the
+# scan visits subsets in orbit-block order (other witnesses and counts).
+ENGINE_VERSION = 1
+
 
 def _print_json(obj: dict, pretty: bool) -> None:
     if pretty:
@@ -174,11 +179,15 @@ def _run_verify(args) -> list[dict]:
 def _cached(
     args, operation: str, group_key: str, keys: Sequence[str], run: Callable[[], dict]
 ) -> dict:
-    """The cached record for this command; on a miss, `run()` under the cache lock, stored."""
+    """The cached record for this command; on a miss, `run()` under the cache lock, stored.
+
+    The key is the command's arguments plus `ENGINE_VERSION`.
+    """
     if args.no_cache:
         return run()
     cache = ResultCache()
     params = {k: getattr(args, k, None) for k in keys}
+    params["engine"] = ENGINE_VERSION
     with cache.lock():
         record = cache.get(group_key, operation, params)
         if record is None:

@@ -236,31 +236,36 @@ def _scan_escalate(members: tuple[int, ...]) -> bool:
 def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     """Find the first non-basis among the first `cap` size-`size` subsets of G\\{0}.
 
-    A depth-first walk over the subsets in lexicographic order carries the
-    ascending-walk bit-set of the current prefix.  The walk only grows as
-    elements are appended, and every value it reaches is an ordered sum of
-    distinct elements, so once a prefix of d elements ending in `a` reaches
-    the whole group, all C(n-1-a, size-d) completions are bases and are
-    counted without being visited.  A leaf whose walk falls short is
-    escalated (non-abelian groups only).
+    Subsets are visited in lexicographic order of their positions in
+    `scan_order`, not of their element labels: a depth-first walk over
+    positions 1..n-1 takes the element `order[p]` at position p and
+    carries the ascending-walk bit-set of the current prefix, in elements.
+    The walk only grows as elements are appended, and every value it
+    reaches is an ordered sum of distinct elements, so once a prefix of d
+    elements ending at position p reaches the whole group, all
+    C(n-1-p, size-d) completions are bases and are counted without being
+    visited.  A leaf whose walk falls short is escalated (non-abelian groups
+    only).
 
     The walk after a prefix depends only on the prefix's walk and the
     elements appended, so a finished subtree none of whose leaves fell short
     is recorded in `settled[d]` (keyed by the walk of its d+1-element prefix,
-    valued by that prefix's last element a0).  A later prefix of the same
-    length and walk ending at a >= a0 has a subset of those completions and
+    valued by that prefix's last position p0).  A later prefix of the same
+    length and walk ending at p >= p0 has a subset of those completions and
     is counted like a full prefix.  The memo restarts whenever the first
-    element advances, which bounds its size.
+    position advances, which bounds its size.
 
-    A first element `a` whose orbit under `symmetry_maps` holds a smaller
-    element is counted without being visited: if a set S with minimum `a`
-    were the first non-basis, its image under a map sending `a` lower would
-    be a non-basis with a smaller minimum, so it would come earlier.  The
-    count and the find are those of the full scan at every cap.
+    A first position that is not the head of its orbit block is counted
+    without being visited: if a set S whose first position holds `a` were
+    the first non-basis, its image under a symmetry sending `a` to the
+    block's head would be a non-basis with an earlier first position, so it
+    would come earlier.  The count and the find are those of the full scan
+    in the same order at every cap.
 
     Returns the number of subsets certified or examined and the first
-    non-basis, or None.  A leaf that escalation cannot decide (it raises
-    `CapacityError`) ends the scan uncounted, short of `cap`.
+    non-basis in scan order, as a sorted tuple of elements, or None.  A
+    leaf that escalation cannot decide (it raises `CapacityError`) ends the
+    scan uncounted, short of `cap`.
     """
     size, cap = args
     g = _SCAN["g"]
@@ -268,6 +273,7 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     full = g.full_mask
     escalate = not g.is_abelian
     tables = g._chunk_tables
+    order = g.scan_order
     shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
     checked = 0
@@ -280,9 +286,9 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     # short leaves seen so far, and the count when each open frame was entered
     short = 0
     entered = [0]
-    # first elements that a symmetry maps lower: their subtrees hold no
-    # lexicographically first non-basis
-    lower = frozenset(a for a, m in enumerate(g.orbit_min) if m < a)
+    # first positions that are not a block head: their subtrees hold no
+    # first non-basis
+    lower = frozenset(p for p, a in enumerate(order) if g.orbit_min[a] < a)
     stack = [iter(range(1, n - last))]
     while stack:
         d = len(stack) - 1
@@ -290,32 +296,33 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
         memo = settled[d]
         skip = () if d else lower
         chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
-        for a in stack[d]:
-            if a in skip:
-                checked += comb(n - 1 - a, last)
+        for p in stack[d]:
+            if p in skip:
+                checked += comb(n - 1 - p, last)
                 if checked >= cap:
                     return cap, None
                 continue
+            a = order[p]
             per = tables[a]
             x = r | 1 << a
             for c, v in chunks:
                 x |= per[c][v]
-            if x == full or memo.get(x, n) <= a:
-                checked += comb(n - 1 - a, last - d)
+            if x == full or memo.get(x, n) <= p:
+                checked += comb(n - 1 - p, last - d)
                 if checked >= cap:
                     return cap, None
                 continue
-            path[d] = a
+            path[d] = p
             if d < last:
                 if not d:
                     for m in settled:
                         m.clear()
                 reach.append(x)
                 entered.append(short)
-                stack.append(iter(range(a + 1, n - last + d + 1)))
+                stack.append(iter(range(p + 1, n - last + d + 1)))
                 break
             short += 1
-            members = tuple(path)
+            members = tuple(sorted(order[q] for q in path))
             try:
                 basis = escalate and _scan_escalate(members)
             except CapacityError:
@@ -330,7 +337,7 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
             reach.pop()
             if entered.pop() == short and d:
                 # a descent happens only when no entry certifies it, so this
-                # a0 is the smallest seen for the walk
+                # p0 is the smallest seen for the walk
                 settled[d - 1][r] = path[d - 1]
     return checked, None
 
@@ -338,13 +345,17 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
 def find_nonbases(
     g: GroupTable, size: int, *, budget: Optional[int] = None
 ) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Scan the size-`size` subsets of G\\{0} in lexicographic order for a non-basis.
+    """Scan the size-`size` subsets of G\\{0} in scan order for a non-basis.
 
-    Returns (subsets checked, first non-basis or None, complete), where
-    complete means every subset was certified or a non-basis was found.  A
-    budget caps the number of subsets examined or certified; a leaf that no
-    route can decide also leaves the scan incomplete.  The empty set is a
-    non-basis, so test the find with `is not None`.
+    Scan order is lexicographic in the positions of `g.scan_order`, which
+    lists the orbits under `symmetry_maps` as blocks, largest first.
+    Returns (subsets checked, first non-basis or None, complete): the count
+    is of subsets in scan order, the non-basis is the first in scan order
+    (as a sorted tuple of elements), and complete means every subset was
+    certified or a non-basis was found.  A budget caps the number of
+    subsets examined or certified; a leaf that no route can decide also
+    leaves the scan incomplete.  The empty set is a non-basis, so test the
+    find with `is not None`.
     """
     if not 0 <= size <= g.n - 1:
         return 0, None, True
@@ -366,11 +377,13 @@ def cr_exhaustive(g: GroupTable, budget: Optional[int] = None) -> CrCertificate:
     """Exact critical number by an upward exhaustive search.
 
     Starting just above the witness (or at size 2 without one), each size t
-    is scanned for its first non-basis until a scan finds none.  Non-bases
-    are closed under taking subsets, so the non-basis of size t - 1 and the
-    clean scan of size t make t exact; the formula oracle only supplies the
-    tag.  If the budget runs out, or a leaf cannot be decided, a partial
-    certificate with bounds only is returned.
+    is scanned for its first non-basis in scan order (see `find_nonbases`)
+    until a scan finds none, so the witness and `subsets_checked` follow
+    that order.  Non-bases are closed under taking subsets, so the
+    non-basis of size t - 1 and the clean scan of size t make t exact; the
+    formula oracle only supplies the tag.  If the budget runs out, or a
+    leaf cannot be decided, a partial certificate with bounds only is
+    returned.
     """
     t_start = time.perf_counter()
     n = g.n

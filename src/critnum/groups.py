@@ -125,6 +125,20 @@ class GroupTable:
                     parent[max(rx, ry)] = min(rx, ry)
         return tuple(find(x) for x in range(self.n))
 
+    @cached_property
+    def scan_order(self) -> tuple[int, ...]:
+        """The order in which the subset scan takes elements: 0, then orbit blocks.
+
+        Each orbit of `orbit_min` is one ascending block, so its head is the
+        orbit minimum.  Blocks come largest first, ties by head: the heads
+        of small orbits then sit at late positions, whose subtrees are small.
+        """
+        blocks: dict[int, list[int]] = {}
+        for x in range(1, self.n):
+            blocks.setdefault(self.orbit_min[x], []).append(x)
+        ordered = sorted(blocks.values(), key=lambda b: (-len(b), b[0]))
+        return (0, *(x for block in ordered for x in block))
+
     def translate(self, bits: int, x: int) -> int:
         """Right translate of a bit-set: {y + x : y in bits}."""
         out = 0

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from critnum import sumsets
-from critnum.cli import cli_dispatch
+from critnum.cache import ResultCache
+from critnum.cli import ENGINE_VERSION, cli_dispatch
 
 
 @pytest.fixture(autouse=True)
@@ -221,6 +222,29 @@ def test_cache_replay_byte_identical(capsys):
     code, second, _ = run(capsys, "cr", "exact", "--group", "D4")
     assert code == 0
     assert first == second  # elapsed_ms preserved from the original run
+
+
+def test_cache_misses_a_record_without_the_engine_stamp(capsys, tmp_path):
+    # a record keyed without the engine version came from the lexicographic
+    # scan, with another witness and count: it is a miss and gets one new
+    # record, which then replays byte-identically
+    path = tmp_path / "cache.jsonl"
+    code, fresh, _ = run(capsys, "cr", "exact", "--group", "Z9")
+    assert code == 0
+    entry = json.loads(path.read_text())
+    assert entry["params"].pop("engine") == ENGINE_VERSION
+    stale = {**entry["record"], "witness": [1, 2, 3, 8], "subsets_checked": 62}
+    path.unlink()
+    ResultCache(str(path)).put("Z9", "cr exact", entry["params"], stale)
+    code, first, _ = run(capsys, "cr", "exact", "--group", "Z9")
+    assert code == 0
+    cert = json.loads(first)
+    assert (cert["witness"], cert["subsets_checked"]) == ([1, 2, 7, 8], 67)
+    assert {**cert, "elapsed_ms": 0} == {**json.loads(fresh), "elapsed_ms": 0}
+    assert len(path.read_text().splitlines()) == 2
+    code, second, _ = run(capsys, "cr", "exact", "--group", "Z9")
+    assert second == first
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_no_cache_skips_store(capsys, tmp_path):

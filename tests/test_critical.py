@@ -62,8 +62,16 @@ def brute_cr(g):
     return best + 1
 
 
-# frozen from the brute-force oracle (see also the direct checks below)
-KNOWN_CR = {"Z4": 3, "Z6": 4, "Z9": 5, "D3": 4, "D4": 4, "Dic2": 4, "A4": 5, "Z15": 7}
+# every catalog group of order <= 28; the first eight were frozen from the
+# brute-force oracle (see also the direct checks below), the rest from the
+# exhaustive search in lexicographic order, before the scan took orbit blocks
+KNOWN_CR = {
+    "Z4": 3, "Z6": 4, "Z9": 5, "D3": 4, "D4": 4, "Dic2": 4, "A4": 5, "Z15": 7,
+    "Z8": 5, "Z3xZ3": 5, "Z10": 5, "D5": 5, "D6": 6, "Dic3": 6, "Z2xD3": 6,
+    "D7": 7, "D8": 8, "Dic4": 8, "Z2xD4": 8, "SD16": 8, "M16": 8, "Z21": 8,
+    "Z7:Z3": 8, "Z25": 9, "Z27": 10, "Z9xZ3": 10, "Z3xZ3xZ3": 10, "H27": 10,
+    "Z9:Z3": 10,
+}
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z6", "Z9", "D3"])
@@ -76,15 +84,57 @@ def test_cr_exhaustive_matches_brute_force(name):
     assert cert.method == "exhaustive"
 
 
-@pytest.mark.parametrize("name", ["D4", "Dic2", "A4", "Z15"])
+def test_known_cr_covers_the_catalog_up_to_order_28():
+    assert sorted(KNOWN_CR) == sorted(e.name for e in catalog_init() if e.order <= 28)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_CR))
 def test_cr_exhaustive_frozen_values(name):
-    cert = cr_exhaustive(catalog_group(name))
-    assert cert.value == KNOWN_CR[name]
+    g = catalog_group(name)
+    cert = cr_exhaustive(g)
+    assert cert.value == cert.lower_bound == cert.upper_bound == KNOWN_CR[name]
+    assert len(cert.witness) == cert.value - 1
+    assert exact_reach_mask(g, cert.witness) != g.full_mask
+
+
+@pytest.mark.parametrize(
+    "g,cr,tag",
+    [
+        pytest.param(dihedral(16), 16, "T1.3ii", id="D16"),
+        pytest.param(dicyclic(8), 16, "T1.3ii", id="Dic8"),
+        pytest.param(cyclic(33), 12, None, id="Z33"),
+        pytest.param(cyclic(35), 11, None, id="Z35"),
+        # about 1.5 s each (order 39), 15 s (Z49) and 25 s (Z7xZ7) on one core
+        pytest.param(cyclic(39), 14, None, id="Z39", marks=pytest.mark.slow),
+        pytest.param(
+            semidirect_cyclic(13, 3, 3), 14, "T1.1iii", id="Z13:Z3", marks=pytest.mark.slow
+        ),
+        pytest.param(cyclic(49), 13, None, id="Z49", marks=pytest.mark.slow),
+        pytest.param(
+            direct_product(cyclic(7), cyclic(7)), 12, None, id="Z7xZ7", marks=pytest.mark.slow
+        ),
+    ],
+)
+def test_cr_exhaustive_beyond_the_catalog(g, cr, tag):
+    cert = cr_exhaustive(g)
+    assert cert.value == cert.lower_bound == cert.upper_bound == cr
+    assert cert.theorem_tag == tag
+    assert len(cert.witness) == cr - 1
+    # a witness generating a proper subgroup is a non-basis without a search
+    bits = sum(1 << a for a in cert.witness)
+    assert subgroup_mask(g, bits) != g.full_mask or not covers_group(g, cert.witness)
+    formula = cr_formula(g)
+    if tag is None:
+        # at order 49 T1.2 does not apply, since it needs n/p composite:
+        # cr(Z49) = 13 exceeds n/p + p - 2 = 12
+        assert formula is None
+    else:
+        assert (formula.theorem_tag, formula.value) == (tag, cr)
 
 
 @pytest.mark.slow
 def test_cr_z45_exact_is_16():
-    # about 20 s on one core: every size-16 subset of Z45 is certified through
+    # about 4 s on one core: every size-16 subset of Z45 is certified through
     # the shared translate tables and the scan's memo; run with `pytest -m slow`
     g = catalog_group("Z45")
     cert = cr_exhaustive(g)
@@ -206,8 +256,8 @@ def test_cr_exhaustive_dihedral20_witness_through_quotient():
 @pytest.mark.parametrize("g", [dihedral(26), dicyclic(13)], ids=["D26", "Dic13"])
 def test_cr_order52_exact_is_26(g):
     # the witness has 25 elements, above the complete search's mask width, so
-    # it is replayed here as generating a proper subgroup; about 5 s (D26)
-    # and 8 s (Dic13) on one core
+    # it is replayed here as generating a proper subgroup; about 0.5 s (D26)
+    # and 4 s (Dic13) on one core
     cert = cr_exhaustive(g)
     assert cert.value == cert.lower_bound == cert.upper_bound == 26
     assert cert.theorem_tag == "T1.3ii"
@@ -227,17 +277,22 @@ def test_find_nonbases_empty_set_is_nonbasis():
     assert complete
 
 
+def scan_combinations(g, size):
+    """The size-`size` subsets of G\\{0} in scan order, each listed in that order."""
+    return combinations(g.scan_order[1:], size)
+
+
 def reference_nonbases(g, size, budget, bases=None):
-    """Oracle: every subset in lexicographic order, each checked by covers_group."""
+    """Oracle: every subset in scan order, each checked by covers_group."""
     if bases is None:
-        bases = (covers_group(g, c) for c in combinations(range(1, g.n), size))
+        bases = (covers_group(g, c) for c in scan_combinations(g, size))
     total = math.comb(g.n - 1, size)
     cap = total if budget is None else min(total, budget)
     checked = 0
-    for comb, ok in islice(zip(combinations(range(1, g.n), size), bases), cap):
+    for comb, ok in islice(zip(scan_combinations(g, size), bases), cap):
         checked += 1
         if not ok:
-            return checked, comb, True
+            return checked, tuple(sorted(comb)), True
     return checked, None, cap >= total
 
 
@@ -247,7 +302,7 @@ def test_find_nonbases_matches_per_subset_reference():
             continue
         g = catalog_group(entry.name)
         for size in range(g.n):
-            bases = [covers_group(g, c) for c in combinations(range(1, g.n), size)]
+            bases = [covers_group(g, c) for c in scan_combinations(g, size)]
             total = len(bases)
             for budget in (None, 0, 1, 7, total // 3, total - 1):
                 got = find_nonbases(g, size, budget=budget)
@@ -255,14 +310,29 @@ def test_find_nonbases_matches_per_subset_reference():
                 assert got == want, (entry.name, size, budget)
 
 
+def scan_rank(g, members):
+    """How many subsets of the same size come before `members` in scan order."""
+    where = {a: p for p, a in enumerate(g.scan_order)}
+    k, rank, prev = len(members), 0, 0
+    for i, p in enumerate(sorted(where[a] for a in members), start=1):
+        rank += sum(math.comb(g.n - 1 - q, k - i) for q in range(prev + 1, p))
+        prev = p
+    return rank
+
+
 def test_undecided_leaf_ends_the_scan_incomplete():
-    # the first leaf is the 25 non-identity rotations: a non-basis that no
-    # walk order covers, wider than the complete search takes
+    # the first short leaf in scan order is the index-2 dihedral subgroup on
+    # the even rotations and reflections, less 0: a non-basis that no walk
+    # order covers, wider than the complete search takes.  Every subset
+    # before it is certified, and the scan stops there uncounted.
     g = dihedral(26)
+    leaf = tuple(range(2, 52, 2))
+    assert subgroup_mask(g, sum(1 << a for a in leaf)).bit_count() == 26
     with pytest.raises(CapacityError):
-        covers_group(g, range(1, 26))
-    assert find_nonbases(g, 25, budget=1) == (0, None, False)
-    assert find_nonbases(g, 25) == (0, None, False)
+        covers_group(g, leaf)
+    assert find_nonbases(g, 25, budget=1) == (1, None, False)
+    assert scan_rank(g, leaf) == 2706402635
+    assert find_nonbases(g, 25) == (2706402635, None, False)
 
 
 def test_undecided_leaf_leaves_cr_exhaustive_partial(monkeypatch):
@@ -276,17 +346,29 @@ def test_undecided_leaf_leaves_cr_exhaustive_partial(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,size,full,single", [("A4", 5, 36, 25), ("D4", 4, 3, 1), ("D6", 6, 3, 1)]
+    "name,size,plain,full,single",
+    [
+        ("A4", 5, 36, 21, 13),
+        ("D4", 4, 3, 0, 0),
+        ("D6", 6, 3, 0, 0),
+        ("D5", 5, 3, 3, 2),
+        ("D7", 7, 3, 3, 2),
+    ],
 )
 def test_single_find_scan_skips_symmetric_first_elements(
-    monkeypatch, name, size, full, single
+    monkeypatch, name, size, plain, full, single
 ):
-    # at t = cr the scan certifies every subset; it does not visit first
-    # elements that a symmetry maps lower, so it escalates fewer short leaves
-    # than the same scan on a fresh table whose orbits are all singletons
+    # at t = cr the scan certifies every subset.  In block order it escalates
+    # fewer short leaves than in the plain order (a fresh table whose orbits
+    # are all singletons), and it does not visit first positions that are
+    # not a block head, so it escalates fewer than the same order unskipped
     g = catalog_group(name)
+    plain_order = catalog_group.__wrapped__(name)
+    plain_order.__dict__["orbit_min"] = tuple(range(g.n))
+    assert plain_order.scan_order == tuple(range(g.n))
     unskipped = catalog_group.__wrapped__(name)
-    unskipped.__dict__["orbit_min"] = tuple(range(unskipped.n))
+    unskipped.__dict__["orbit_min"] = tuple(range(g.n))
+    unskipped.__dict__["scan_order"] = g.scan_order
     calls = []
     escalate = critical._scan_escalate
 
@@ -296,14 +378,15 @@ def test_single_find_scan_skips_symmetric_first_elements(
 
     monkeypatch.setattr(critical, "_scan_escalate", counted)
     results = []
-    for h, want in ((unskipped, full), (g, single)):
+    for h, want in ((plain_order, plain), (unskipped, full), (g, single)):
         calls.clear()
         results.append(find_nonbases(h, size))
         assert len(calls) == want, h is g
-    assert results[0] == results[1] == (math.comb(g.n - 1, size), None, True)
-    assert all(g.orbit_min[m[0]] == m[0] for m in calls)
-    # the skip keeps the count and the find of the full scan at every budget,
-    # also one size down, where a non-basis is found
+    assert results == [(math.comb(g.n - 1, size), None, True)] * 3
+    where = {a: p for p, a in enumerate(g.scan_order)}
+    assert all(g.orbit_min[a] == a for a in (min(m, key=where.get) for m in calls))
+    # the skip keeps the count and the find of the full scan in the same
+    # order at every budget, also one size down, where a non-basis is found
     for s in (size - 1, size):
         total = math.comb(g.n - 1, s)
         for budget in (None, *range(0, total + 1, max(1, total // 60))):
@@ -311,14 +394,43 @@ def test_single_find_scan_skips_symmetric_first_elements(
             assert got == find_nonbases(unskipped, s, budget=budget), (s, budget)
 
 
+@pytest.mark.parametrize(
+    "name,size", [("D5", 4), ("Dic3", 5), ("A4", 5), ("D7", 5), ("D7", 6), ("Z7:Z3", 6)]
+)
+def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
+    # pruning and the memo certify only subtrees whose every leaf walks to
+    # the whole group, so the scan escalates exactly the leaves whose first
+    # element is a block head and whose walk falls short, in scan order, up
+    # to the first non-basis
+    g = catalog_group(name)
+    calls = []
+    escalate = critical._scan_escalate
+
+    def counted(members):
+        calls.append(members)
+        return escalate(members)
+
+    monkeypatch.setattr(critical, "_scan_escalate", counted)
+    _, found, _ = find_nonbases(g, size)
+    want = []
+    for comb in scan_combinations(g, size):
+        if g.orbit_min[comb[0]] == comb[0] and fixed_order_reach_mask(g, comb) != g.full_mask:
+            want.append(tuple(sorted(comb)))
+            if want[-1] == found:
+                break
+    assert calls == want
+
+
 @pytest.mark.parametrize("name,size", [("Z9", 5), ("D6", 7), ("A4", 6)])
 def test_budget_ending_inside_pruned_subtree(name, size):
-    # at these sizes (>= cr) the scan visits every first element that no
-    # symmetry maps lower; the first such prefix whose ascending walk already
-    # covers G roots a subtree the scan certifies without visiting, and a
-    # budget ending inside it must certify exactly that subtree's first ranks
+    # at these sizes (>= cr) the scan visits every first position that is a
+    # block head; the first such prefix whose ascending walk already covers G
+    # roots a subtree the scan certifies without visiting, and a budget
+    # ending inside it must certify exactly that subtree's first ranks.
+    # Subsets are in scan order, and counts are in positions.
     g = catalog_group(name)
-    combs = list(combinations(range(1, g.n), size))
+    order = g.scan_order
+    combs = list(scan_combinations(g, size))
     for rank, comb in enumerate(combs):
         if g.orbit_min[comb[0]] != comb[0]:
             continue
@@ -326,12 +438,14 @@ def test_budget_ending_inside_pruned_subtree(name, size):
             (d for d in range(1, size) if fixed_order_reach_mask(g, comb[:d]) == g.full_mask),
             None,
         )
-        if depth is not None and math.comb(g.n - 1 - comb[depth - 1], size - depth) >= 3:
+        if depth is None:
+            continue
+        p = order.index(comb[depth - 1])
+        if math.comb(g.n - 1 - p, size - depth) >= 3:
             break
     else:
         pytest.fail("no pruned subtree of three or more subsets")
-    a = comb[depth - 1]
-    assert combs[rank] == comb[:depth] + tuple(range(a + 1, a + 1 + size - depth))
+    assert combs[rank] == comb[:depth] + order[p + 1 : p + 1 + size - depth]
     budget = rank + 2
     got = find_nonbases(g, size, budget=budget)
     assert got == reference_nonbases(g, size, budget)
@@ -340,28 +454,30 @@ def test_budget_ending_inside_pruned_subtree(name, size):
 
 
 def memo_certified_prefixes(g, size):
-    """Prefixes whose subtree an earlier settled subtree certifies.
+    """Prefixes, as scan positions, whose subtree an earlier settled subtree certifies.
 
-    An earlier prefix q of the same length and first element, with the same
+    An earlier prefix q of the same length and first position, with the same
     ascending walk, q[-1] <= p[-1], and every completion walking to the whole
     group, certifies p.  Prefixes with fewer than three completions are
     skipped.
     """
     full = g.full_mask
+    order = g.scan_order
     for k in range(2, size):
         settled, first = {}, None
         for p in combinations(range(1, g.n - size + k), k):
             if p[0] != first:
                 settled, first = {}, p[0]
-            if any(fixed_order_reach_mask(g, p[:j]) == full for j in range(1, k + 1)):
+            members = tuple(order[q] for q in p)
+            if any(fixed_order_reach_mask(g, members[:j]) == full for j in range(1, k + 1)):
                 continue
-            walk = fixed_order_reach_mask(g, p)
+            walk = fixed_order_reach_mask(g, members)
             if settled.get(walk, g.n) <= p[-1]:
                 if math.comb(g.n - 1 - p[-1], size - k) >= 3:
                     yield p
                 continue
-            completions = combinations(range(p[-1] + 1, g.n), size - k)
-            if all(fixed_order_reach_mask(g, p + c) == full for c in completions):
+            completions = combinations(order[p[-1] + 1 :], size - k)
+            if all(fixed_order_reach_mask(g, members + c) == full for c in completions):
                 settled[walk] = p[-1]
 
 
@@ -370,12 +486,15 @@ def test_budget_ending_inside_memo_certified_subtree(name, size):
     # the scan counts a prefix whose walk equals that of an earlier settled
     # subtree without visiting it; a budget ending inside it must certify
     # exactly that subtree's first ranks.  At these sizes (cr) every first
-    # element that no symmetry maps lower is visited.
+    # position that is a block head is visited.  Subsets are scan positions.
     g = catalog_group(name)
+    order = g.scan_order
     combs = list(combinations(range(1, g.n), size))
-    bases = [covers_group(g, c) for c in combs]
+    bases = [covers_group(g, c) for c in scan_combinations(g, size)]
     assert all(bases)
-    prefixes = [p for p in memo_certified_prefixes(g, size) if g.orbit_min[p[0]] == p[0]]
+    prefixes = [
+        p for p in memo_certified_prefixes(g, size) if g.orbit_min[order[p[0]]] == order[p[0]]
+    ]
     assert prefixes, "no memo-certified subtree of three or more subsets"
     for prefix in prefixes:
         a = prefix[-1]

@@ -465,6 +465,24 @@ def test_orbit_representatives_of_order27_groups():
     assert all(g.orbit_min[x] == min(x, g.inv[x]) for x in range(g.n))
 
 
+def test_scan_order_of_z9_puts_the_units_first():
+    # the units of Z9 are one orbit of six, {3, 6} an orbit of two
+    assert cyclic(9).scan_order == (0, 1, 2, 4, 5, 7, 8, 3, 6)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG_DESCRIPTORS])
+def test_scan_order_lists_orbit_blocks_largest_first(name):
+    g = catalog_group(name)
+    order = g.scan_order
+    assert order[0] == 0 and sorted(order) == list(range(g.n))
+    heads = [p for p in range(1, g.n) if g.orbit_min[order[p]] == order[p]]
+    blocks = [order[p:q] for p, q in zip(heads, heads[1:] + [g.n])]
+    for block in blocks:
+        assert list(block) == [x for x in range(g.n) if g.orbit_min[x] == block[0]]
+    keys = [(-len(block), block[0]) for block in blocks]
+    assert keys == sorted(keys)
+
+
 @pytest.mark.parametrize("name", [name for name, _ in CATALOG_DESCRIPTORS])
 def test_symmetry_maps_preserve_sums_and_orbits_preserve_order(name):
     g = catalog_group(name)
