@@ -227,10 +227,70 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
 # the group of the running scan, for the one-argument escalation hook
 _SCAN: dict = {}
 
+# deepest frame whose children are tested for a canonical prefix (a frame
+# at depth d tests prefixes of d + 1 positions); on the five order-27 scans
+# at t = 10, depths 0, 2, 3 and 4 evaluate 183,773, 114,021, 101,519 and
+# 94,673 children, and at depth 4 the tests cost more than they save
+_CANON_DEPTH = 2
+
 
 def _scan_escalate(members: tuple[int, ...]) -> bool:
     """Slow-path cover check of a leaf whose ascending walk fell short."""
     return covers_group(_SCAN["g"], members)
+
+
+# a map of scan positions, the bit-set of positions it moves lower, and
+# `below`, where below[b] is the bit-set of positions it sends below b
+_PositionMap = tuple[tuple[int, ...], int, list[int]]
+
+
+def _symmetry_masks(perms: Sequence[tuple[int, ...]]) -> list[_PositionMap]:
+    """Each map of scan positions with its bit-sets for `_noncanonical_children`."""
+    out = []
+    for perm in perms:
+        preimage = [0] * len(perm)
+        for q, v in enumerate(perm):
+            preimage[v] = q
+        below = [0]
+        for q in preimage:
+            below.append(below[-1] | 1 << q)
+        lower = sum(1 << q for q, v in enumerate(perm) if v < q)
+        out.append((perm, lower, below))
+    return out
+
+
+def _noncanonical_children(syms: list[_PositionMap], prefix: Sequence[int]) -> int:
+    """Positions q after a canonical prefix that a symmetry maps the prefix plus q earlier.
+
+    Sets of positions of one size follow scan order by the lowest position
+    at which they differ: the set holding it comes first.  The prefix is
+    canonical (no symmetry maps it earlier), so for a map that moves it,
+    the lowest such position m is in the prefix, and the prefix plus q goes
+    earlier exactly when q is sent below m, or onto m and the rest decides.
+    A map that fixes the prefix as a set moves the prefix plus q earlier
+    exactly when it moves q lower.  Returns a bit-set of positions.
+    """
+    held = 0
+    for p in prefix:
+        held |= 1 << p
+    skip = 0
+    for perm, lower, below in syms:
+        image = 0
+        for p in prefix:
+            image |= 1 << perm[p]
+        diff = image ^ held
+        if not diff:
+            skip |= lower
+            continue
+        m = (diff & -diff).bit_length() - 1
+        skip |= below[m]
+        # the one child sent onto m, as a bit
+        q = below[m + 1] ^ below[m]
+        moved = image | 1 << m
+        diff = moved ^ (held | q)
+        if diff & -diff & moved:
+            skip |= q
+    return skip
 
 
 def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
@@ -248,19 +308,22 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     only).
 
     The walk after a prefix depends only on the prefix's walk and the
-    elements appended, so a finished subtree none of whose leaves fell short
-    is recorded in `settled[d]` (keyed by the walk of its d+1-element prefix,
-    valued by that prefix's last position p0).  A later prefix of the same
-    length and walk ending at p >= p0 has a subset of those completions and
-    is counted like a full prefix.  The memo restarts whenever the first
-    position advances, which bounds its size.
+    elements appended, so a finished subtree all of whose leaves were
+    visited and walked to the whole group is recorded in `settled[d]`
+    (keyed by the walk of its d+1-element prefix, valued by that prefix's
+    last position p0).  A later prefix of the same length and walk ending
+    at p >= p0 has a subset of those completions and is counted like a full
+    prefix.  The memo restarts whenever the first position advances, which
+    bounds its size.
 
-    A first position that is not the head of its orbit block is counted
-    without being visited: if a set S whose first position holds `a` were
-    the first non-basis, its image under a symmetry sending `a` to the
-    block's head would be a non-basis with an earlier first position, so it
-    would come earlier.  The count and the find are those of the full scan
-    in the same order at every cap.
+    A prefix of at most `_CANON_DEPTH` + 1 positions that a symmetry maps
+    to an earlier set of positions has its subtree counted without being
+    visited: if a set S with that prefix were the first non-basis, its
+    image would be a non-basis earlier in scan order.  At depth 0 these are
+    the first positions that are not the head of their orbit block.  The
+    count and the find are those of the full scan in the same order at
+    every cap.  A skipped subtree was not looked at, so, like a short leaf,
+    it keeps its enclosing frames out of the memo.
 
     Returns the number of subsets certified or examined and the first
     non-basis in scan order, as a sorted tuple of elements, or None.  A
@@ -280,25 +343,22 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     if cap <= 0:
         return checked, None
     last = size - 1
+    syms = _symmetry_masks(g.scan_symmetries)
     path = [0] * size
-    reach = [0]
     settled: list[dict[int, int]] = [{} for _ in range(size)]
-    # short leaves seen so far, and the count when each open frame was entered
-    short = 0
-    entered = [0]
-    # first positions that are not a block head: their subtrees hold no
-    # first non-basis
-    lower = frozenset(p for p, a in enumerate(order) if g.orbit_min[a] < a)
-    stack = [iter(range(1, n - last))]
+    # short leaves and skipped subtrees seen so far
+    unsettled = 0
+    # per open frame: its children, the walk of its prefix and that walk's
+    # nonzero chunks, the children it skips, and `unsettled` on entry
+    stack = [(iter(range(1, n - last)), 0, [], _noncanonical_children(syms, ()), 0)]
     while stack:
         d = len(stack) - 1
-        r = reach[d]
+        children, r, chunks, skip, entered = stack[d]
         memo = settled[d]
-        skip = () if d else lower
-        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
-        for p in stack[d]:
-            if p in skip:
-                checked += comb(n - 1 - p, last)
+        for p in children:
+            if skip >> p & 1:
+                unsettled += 1
+                checked += comb(n - 1 - p, last - d)
                 if checked >= cap:
                     return cap, None
                 continue
@@ -317,11 +377,18 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
                 if not d:
                     for m in settled:
                         m.clear()
-                reach.append(x)
-                entered.append(short)
-                stack.append(iter(range(p + 1, n - last + d + 1)))
+                stack.append(
+                    (
+                        iter(range(p + 1, n - last + d + 1)),
+                        x,
+                        [(c, v) for c, sh in enumerate(shifts) if (v := x >> sh & CHUNK_MASK)],
+                        # the parent frame tested this prefix, so it is canonical
+                        _noncanonical_children(syms, path[: d + 1]) if d < _CANON_DEPTH else 0,
+                        unsettled,
+                    )
+                )
                 break
-            short += 1
+            unsettled += 1
             members = tuple(sorted(order[q] for q in path))
             try:
                 basis = escalate and _scan_escalate(members)
@@ -334,8 +401,7 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
                 return checked, None
         else:
             stack.pop()
-            reach.pop()
-            if entered.pop() == short and d:
+            if entered == unsettled and d:
                 # a descent happens only when no entry certifies it, so this
                 # p0 is the smallest seen for the walk
                 settled[d - 1][r] = path[d - 1]
@@ -348,7 +414,7 @@ def find_nonbases(
     """Scan the size-`size` subsets of G\\{0} in scan order for a non-basis.
 
     Scan order is lexicographic in the positions of `g.scan_order`, which
-    lists the orbits under `symmetry_maps` as blocks, largest first.
+    lists the orbits under `g.symmetries` as blocks, largest first.
     Returns (subsets checked, first non-basis or None, complete): the count
     is of subsets in scan order, the non-basis is the first in scan order
     (as a sorted tuple of elements), and complete means every subset was

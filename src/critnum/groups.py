@@ -104,26 +104,38 @@ class GroupTable:
         return chunked_translation_tables(self.op, self.n)
 
     @cached_property
-    def orbit_min(self) -> tuple[int, ...]:
-        """The smallest element of each element's orbit under `symmetry_maps`.
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """The bijections of G that map bases to bases, as element -> image tuples.
 
-        Union-find over one map at a time; the root of a class is always its
-        smallest member.
+        A group of maps, identity first, each listed once.  In an abelian
+        group: x -> kx for every k coprime to n (k = -1 is inversion).
+        Otherwise: conjugation by each element, and each conjugation followed
+        by inversion.  Inversion maps bases to bases because
+        -(a1 + ... + ak) = (-ak) + ... + (-a1), and it commutes with every
+        automorphism.
         """
-        parent = list(range(self.n))
+        n, op, inv = self.n, self.op, self.inv
+        identity = tuple(range(n))
+        maps = {identity: None}
+        if self.is_abelian:
+            # running multiples: m_k[x] = m_{k-1}[x] + x
+            multiple = identity
+            for k in range(2, n):
+                multiple = tuple(op[m][x] for x, m in enumerate(multiple))
+                if math.gcd(k, n) == 1:
+                    maps[multiple] = None
+        else:
+            for y in range(n):
+                row, yi = op[y], inv[y]
+                conj = tuple(op[row[x]][yi] for x in range(n))
+                maps[conj] = None
+                maps[tuple(inv[c] for c in conj)] = None
+        return tuple(maps)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for phi in symmetry_maps(self):
-            for x, y in enumerate(phi):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-        return tuple(find(x) for x in range(self.n))
+    @cached_property
+    def orbit_min(self) -> tuple[int, ...]:
+        """The smallest element of each element's orbit under `symmetries`."""
+        return tuple(map(min, zip(*self.symmetries)))
 
     @cached_property
     def scan_order(self) -> tuple[int, ...]:
@@ -138,6 +150,20 @@ class GroupTable:
             blocks.setdefault(self.orbit_min[x], []).append(x)
         ordered = sorted(blocks.values(), key=lambda b: (-len(b), b[0]))
         return (0, *(x for block in ordered for x in block))
+
+    @cached_property
+    def scan_symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """Each symmetry but the identity as a map of `scan_order` positions.
+
+        Position q goes to the position of the image of the element at q.
+        """
+        order = self.scan_order
+        pos = [0] * self.n
+        for p, a in enumerate(order):
+            pos[a] = p
+        identity = tuple(range(self.n))
+        perms = (tuple(pos[phi[a]] for a in order) for phi in self.symmetries)
+        return tuple(perm for perm in perms if perm != identity)
 
     def translate(self, bits: int, x: int) -> int:
         """Right translate of a bit-set: {y + x : y in bits}."""
@@ -618,28 +644,6 @@ def quotient(g: GroupTable, k: SubgroupInfo) -> tuple[GroupTable, tuple[int, ...
                     f"quotient projection is not a homomorphism at ({a}, {b})"
                 )
     return qt, proj
-
-
-def symmetry_maps(g: GroupTable) -> Iterator[tuple[int, ...]]:
-    """Bijections of G that map bases to bases, each as an element -> image tuple.
-
-    Inversion first: -(a1 + ... + ak) = (-ak) + ... + (-a1), so the closure of
-    -S is the negated closure of S.  Then automorphisms: x -> kx for every k
-    coprime to n in an abelian group (kept as running multiples, one table
-    lookup per element and k), conjugation by every element otherwise.
-    """
-    n, op, inv = g.n, g.op, g.inv
-    yield inv
-    if g.is_abelian:
-        multiple = tuple(range(n))
-        for k in range(2, n):
-            multiple = tuple(op[m][x] for x, m in enumerate(multiple))
-            if math.gcd(k, n) == 1:
-                yield multiple
-    else:
-        for y in range(1, n):
-            row, yi = op[y], inv[y]
-            yield tuple(op[row[x]][yi] for x in range(n))
 
 
 def center(g: GroupTable) -> ElementSet:

@@ -104,7 +104,7 @@ def test_cr_exhaustive_frozen_values(name):
         pytest.param(dicyclic(8), 16, "T1.3ii", id="Dic8"),
         pytest.param(cyclic(33), 12, None, id="Z33"),
         pytest.param(cyclic(35), 11, None, id="Z35"),
-        # about 1.5 s each (order 39), 15 s (Z49) and 25 s (Z7xZ7) on one core
+        # about 0.3 s each (order 39), 4.5 s (Z49) and 8.5 s (Z7xZ7) on one core
         pytest.param(cyclic(39), 14, None, id="Z39", marks=pytest.mark.slow),
         pytest.param(
             semidirect_cyclic(13, 3, 3), 14, "T1.1iii", id="Z13:Z3", marks=pytest.mark.slow
@@ -134,8 +134,9 @@ def test_cr_exhaustive_beyond_the_catalog(g, cr, tag):
 
 @pytest.mark.slow
 def test_cr_z45_exact_is_16():
-    # about 4 s on one core: every size-16 subset of Z45 is certified through
-    # the shared translate tables and the scan's memo; run with `pytest -m slow`
+    # about 1 s on one core: every size-16 subset of Z45 is certified through
+    # the shared translate tables, the scan's memo and its symmetric-prefix
+    # skips; run with `pytest -m slow`
     g = catalog_group("Z45")
     cert = cr_exhaustive(g)
     assert cert.value == cert.lower_bound == cert.upper_bound == 16
@@ -256,8 +257,8 @@ def test_cr_exhaustive_dihedral20_witness_through_quotient():
 @pytest.mark.parametrize("g", [dihedral(26), dicyclic(13)], ids=["D26", "Dic13"])
 def test_cr_order52_exact_is_26(g):
     # the witness has 25 elements, above the complete search's mask width, so
-    # it is replayed here as generating a proper subgroup; about 0.5 s (D26)
-    # and 4 s (Dic13) on one core
+    # it is replayed here as generating a proper subgroup; about 0.2 s (D26)
+    # and 1.1 s (Dic13) on one core
     cert = cr_exhaustive(g)
     assert cert.value == cert.lower_bound == cert.upper_bound == 26
     assert cert.theorem_tag == "T1.3ii"
@@ -345,10 +346,27 @@ def test_undecided_leaf_leaves_cr_exhaustive_partial(monkeypatch):
     assert len(cert.witness) == 3 and "undecided" in cert.notes
 
 
+def canonical_prefix(g, positions):
+    """True when no symmetry maps these scan positions to an earlier set of positions."""
+    order = g.scan_order
+    where = {a: p for p, a in enumerate(order)}
+    key = sorted(positions)
+    return all(sorted(where[phi[order[p]]] for p in positions) >= key for phi in g.symmetries)
+
+
+def without_symmetries(name, scan_order=None):
+    """A fresh catalog table whose only symmetry is the identity, so nothing is skipped."""
+    h = catalog_group.__wrapped__(name)
+    h.__dict__["symmetries"] = (tuple(range(h.n)),)
+    if scan_order is not None:
+        h.__dict__["scan_order"] = scan_order
+    return h
+
+
 @pytest.mark.parametrize(
     "name,size,plain,full,single",
     [
-        ("A4", 5, 36, 21, 13),
+        ("A4", 5, 36, 21, 4),
         ("D4", 4, 3, 0, 0),
         ("D6", 6, 3, 0, 0),
         ("D5", 5, 3, 3, 2),
@@ -359,16 +377,14 @@ def test_single_find_scan_skips_symmetric_first_elements(
     monkeypatch, name, size, plain, full, single
 ):
     # at t = cr the scan certifies every subset.  In block order it escalates
-    # fewer short leaves than in the plain order (a fresh table whose orbits
-    # are all singletons), and it does not visit first positions that are
-    # not a block head, so it escalates fewer than the same order unskipped
+    # fewer short leaves than in the plain order (a fresh table with no
+    # symmetry but the identity, so its orbits are all singletons), and it
+    # does not visit a prefix of up to three positions that a symmetry maps
+    # earlier, so it escalates fewer than the same order unskipped
     g = catalog_group(name)
-    plain_order = catalog_group.__wrapped__(name)
-    plain_order.__dict__["orbit_min"] = tuple(range(g.n))
+    plain_order = without_symmetries(name)
     assert plain_order.scan_order == tuple(range(g.n))
-    unskipped = catalog_group.__wrapped__(name)
-    unskipped.__dict__["orbit_min"] = tuple(range(g.n))
-    unskipped.__dict__["scan_order"] = g.scan_order
+    unskipped = without_symmetries(name, g.scan_order)
     calls = []
     escalate = critical._scan_escalate
 
@@ -384,7 +400,7 @@ def test_single_find_scan_skips_symmetric_first_elements(
         assert len(calls) == want, h is g
     assert results == [(math.comb(g.n - 1, size), None, True)] * 3
     where = {a: p for p, a in enumerate(g.scan_order)}
-    assert all(g.orbit_min[a] == a for a in (min(m, key=where.get) for m in calls))
+    assert all(canonical_prefix(g, sorted(map(where.get, m))[:3]) for m in calls)
     # the skip keeps the count and the find of the full scan in the same
     # order at every budget, also one size down, where a non-basis is found
     for s in (size - 1, size):
@@ -400,9 +416,10 @@ def test_single_find_scan_skips_symmetric_first_elements(
 def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
     # pruning and the memo certify only subtrees whose every leaf walks to
     # the whole group, so the scan escalates exactly the leaves whose first
-    # element is a block head and whose walk falls short, in scan order, up
-    # to the first non-basis
+    # three positions form a canonical prefix and whose walk falls short, in
+    # scan order, up to the first non-basis
     g = catalog_group(name)
+    where = {a: p for p, a in enumerate(g.scan_order)}
     calls = []
     escalate = critical._scan_escalate
 
@@ -414,7 +431,8 @@ def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
     _, found, _ = find_nonbases(g, size)
     want = []
     for comb in scan_combinations(g, size):
-        if g.orbit_min[comb[0]] == comb[0] and fixed_order_reach_mask(g, comb) != g.full_mask:
+        prefix = [where[a] for a in comb[:3]]
+        if canonical_prefix(g, prefix) and fixed_order_reach_mask(g, comb) != g.full_mask:
             want.append(tuple(sorted(comb)))
             if want[-1] == found:
                 break
@@ -783,3 +801,60 @@ def test_closure_pass_skips_work_that_cannot_change_its_answer(monkeypatch):
                 resolving_sequence(g, x)
     # without the two shortcuts: 2,627 probes and 3,503 subgroup closures
     assert calls == {"probes": 382, "subgroups": 1642}
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_init() if e.order <= 21])
+def test_find_nonbases_matches_the_scan_without_symmetries(name):
+    # the canonical-prefix skips change neither the count nor the find of
+    # the full scan in the same order, at any budget, one size below cr and
+    # at cr
+    g = catalog_group(name)
+    plain = without_symmetries(name, g.scan_order)
+    for size in (KNOWN_CR[name] - 1, KNOWN_CR[name]):
+        total = math.comb(g.n - 1, size)
+        for budget in (None, *range(0, total + 1, max(1, total // 60))):
+            got = find_nonbases(g, size, budget=budget)
+            assert got == find_nonbases(plain, size, budget=budget), (size, budget)
+
+
+ORDER27 = ["Z27", "Z9xZ3", "Z3xZ3xZ3", "H27", "Z9:Z3"]
+
+
+@pytest.mark.parametrize("name", ORDER27)
+def test_order27_scans_match_the_scan_without_symmetries(name):
+    g = catalog_group(name)
+    plain = without_symmetries(name, g.scan_order)
+    for size in (9, 10):
+        assert find_nonbases(g, size) == find_nonbases(plain, size), size
+
+
+class CountingTables(list):
+    """Chunk tables that count their row lookups: the scan makes one per child evaluation."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def scan_lookups(name, size):
+    """Table row lookups of one scan on a fresh catalog table, and its result."""
+    g = catalog_group.__wrapped__(name)
+    tables = CountingTables(g._chunk_tables)
+    g.__dict__["_chunk_tables"] = tables
+    result = find_nonbases(g, size)
+    return tables.lookups, result
+
+
+def test_order27_scans_evaluate_the_pinned_number_of_children():
+    # at t = 10 no leaf is escalated, so every lookup is a child evaluation.
+    # Pinned from the scan with canonical prefixes of up to three positions
+    # (183,773 with first positions only); more means a weaker skip or memo
+    want = {"Z27": 21504, "Z9xZ3": 27232, "Z3xZ3xZ3": 41014, "H27": 9614, "Z9:Z3": 14657}
+    got = {}
+    for name in ORDER27:
+        got[name], result = scan_lookups(name, 10)
+        assert result == (math.comb(26, 10), None, True)
+    assert got == want
+    assert sum(got.values()) == 114021

@@ -30,7 +30,6 @@ from critnum.groups import (
     subgroup_closure,
     subgroup_mask,
     subgroups_of_index,
-    symmetry_maps,
 )
 
 
@@ -492,11 +491,15 @@ def test_symmetry_maps_preserve_sums_and_orbits_preserve_order(name):
     for x in range(n):
         assert orbit_min[x] <= x and orbit_min[orbit_min[x]] == orbit_min[x]
         assert element_order(g, x) == element_order(g, orbit_min[x])
-    maps = list(symmetry_maps(g))
-    assert maps[0] == g.inv
+    maps = g.symmetries
+    # a group of maps, identity first, each listed once, inversion among them
+    assert maps[0] == tuple(range(n)) and g.inv in maps
+    assert len(set(maps)) == len(maps) <= 2 * n
+    assert {tuple(phi[x] for x in psi) for phi in maps for psi in maps} == set(maps)
     for phi in maps:
         assert sorted(phi) == list(range(n))
         assert all(orbit_min[phi[x]] == orbit_min[x] for x in range(n))
         for a in range(n):
             for b in range(n):
                 assert phi[op[a][b]] in (op[phi[a]][phi[b]], op[phi[b]][phi[a]])
+    assert orbit_min == tuple(min(phi[x] for phi in maps) for x in range(n))

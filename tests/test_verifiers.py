@@ -123,6 +123,16 @@ def test_l24_case1_pattern():
     assert exact_reach_mask(g, members).bit_count() >= 6
 
 
+def test_l24_floor_is_met_exactly_in_z7():
+    # S = {1, 2, 3} in Z7 is sign-disjoint and its closure {1, ..., 6} has
+    # exactly 2|S| = 6 elements: on the bound, so the check must pass it
+    g = cyclic(7)
+    assert exact_reach_mask(g, (1, 2, 3)) == 0b1111110
+    report = verify_L2_4(g, 3, 3)
+    assert report.cases_checked == 8  # one sign choice per inverse pair
+    assert report.failures == []
+
+
 def test_l24_heisenberg_sampled():
     report = verify_L2_4(heisenberg(3), 3, 6, mode="sampled", trials=300, seed=11)
     assert report.failures == []
