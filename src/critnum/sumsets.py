@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .groups import ElementSet, GroupTable
 
-# widest set the complete search takes: it may hold up to 2^k * n states
+# widest set the complete search takes: it keeps one bit-set per subset, up to 2^k
 MASK_LIMIT = 24
 
 
@@ -77,17 +77,15 @@ def _dp_covers(g: GroupTable, members: Sequence[int]) -> bool:
 
 
 def _state_search(
-    g: GroupTable,
-    members: Sequence[int],
-    want_levels: bool = False,
-    stop_at_full: bool = False,
+    g: GroupTable, members: Sequence[int], want_levels: bool = False
 ) -> tuple[int, Optional[list[int]]]:
-    """Complete search over (used-subset, partial-sum) states.
+    """Complete search: one bit-set of ordered sums per subset of `members`.
 
-    Explores every ordering of every distinct-element selection by appending
-    one unused element at a time.  With `stop_at_full` the walk stops as soon
-    as every group element has been produced, which keeps the reached set
-    exact; per-cardinality levels require the full walk.  Raises
+    Subsets are taken as masks in increasing order, so each comes after all
+    of its proper subsets.  An ordered sum over a subset ends in some member
+    `a`, so the subset's sums are the translates by each such `a` of the sums
+    of the subset without it.  Without levels the search stops once every
+    group element is reached, which keeps the reached set exact.  Raises
     `CapacityError` on more than `MASK_LIMIT` members.
     """
     k = len(members)
@@ -95,43 +93,26 @@ def _state_search(
         raise CapacityError(
             f"subset of size {k} exceeds the exact-search mask width limit {MASK_LIMIT}"
         )
-    op, full = g.op, g.full_mask
-    reached = 0
+    translate, full = g.translate, g.full_mask
     levels: Optional[list[int]] = [0] * (k + 1) if want_levels else None
-    seen = set()
-    frontier: list[tuple[int, int]] = []
-    for i, a in enumerate(members):
-        st = (1 << i, a)
-        if st not in seen:
-            seen.add(st)
-            frontier.append(st)
-            reached |= 1 << a
-    if levels is not None:
-        levels[1] = reached
-    if stop_at_full and not want_levels and reached == full:
-        return reached, None
-    level = 1
-    while frontier and level < k:
-        level += 1
-        nxt: list[tuple[int, int]] = []
-        level_mask = 0
-        for mask, s in frontier:
-            row = op[s]
-            for j in range(k):
-                jb = 1 << j
-                if mask & jb:
-                    continue
-                st = (mask | jb, row[members[j]])
-                if st not in seen:
-                    seen.add(st)
-                    nxt.append(st)
-                    level_mask |= 1 << st[1]
-        reached |= level_mask
+    sums = [0]  # indexed by mask; the empty subset is never read
+    reached = 0
+    for mask in range(1, 1 << k):
+        if mask & (mask - 1) == 0:
+            s = 1 << members[mask.bit_length() - 1]
+        else:
+            s = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                s |= translate(sums[mask ^ low], members[low.bit_length() - 1])
+        sums.append(s)
+        reached |= s
         if levels is not None:
-            levels[level] = level_mask
-        elif stop_at_full and reached == full:
-            return reached, None
-        frontier = nxt
+            levels[mask.bit_count()] |= s
+        elif reached == full:
+            break
     return reached, levels
 
 
@@ -147,7 +128,7 @@ def _closure(g: GroupTable, members: Sequence[int]) -> tuple[int, bool]:
         return fixed_order_reach_mask(g, members), True
     if _dp_covers(g, members):
         return g.full_mask, False
-    reached, _ = _state_search(g, members, stop_at_full=True)
+    reached, _ = _state_search(g, members)
     return reached, True
 
 

@@ -19,10 +19,12 @@ from critnum.groups import (
     direct_product,
     heisenberg,
     semidirect_cyclic,
+    subgroup_mask,
 )
 from critnum.sumsets import (
     CapacityError,
     _alt_orders,
+    _state_search,
     covers_group,
     exact_reach_mask,
     fixed_order_reach_mask,
@@ -229,9 +231,45 @@ def test_monotonicity():
         assert exact_reach_mask(g, tuple(small)) & ~exact_reach_mask(g, tuple(big)) == 0
 
 
-def test_oracle_equivalence_abelian_prefix_vs_search():
-    from critnum.sumsets import _state_search
+def _bits(indices):
+    return sum(1 << x for x in indices)
 
+
+def test_state_search_widest_in_tier1():
+    # dihedral(16)'s index-2 dihedral subgroup (even rotations r^2i at 2i,
+    # even reflections r^2i s at 16 + 2i) less 0: 15 members, whose closure
+    # is the 16-element subgroup, so the search walks all 2^15 subsets
+    g = dihedral(16)
+    sub = _bits(range(0, g.n, 2))
+    assert subgroup_mask(g, sub) == sub and sub.bit_count() == 16
+    members = tuple(range(2, g.n, 2))
+    assert _state_search(g, members) == (sub, None)
+    reached, levels = _state_search(g, members, want_levels=True)
+    assert reached == sub
+    union = 0
+    for lv in levels:
+        union |= lv
+    assert union == reached
+    assert not covers_group(g, members)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_init() if not e.abelian])
+def test_state_search_matches_levels_and_brute_force(name):
+    g = catalog_group(name)
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(8):
+        members = tuple(rng.sample(range(g.n), rng.randint(1, min(6, g.n - 1))))
+        reached, _ = _state_search(g, members)
+        _, levels = _state_search(g, members, want_levels=True)
+        union = 0
+        for lv in levels:
+            union |= lv
+        assert reached == union == _bits(brute_sigma(g, members))
+        for r in range(1, len(members) + 1):
+            assert levels[r] == _bits(brute_sigma(g, members, r))
+
+
+def test_oracle_equivalence_abelian_prefix_vs_search():
     rng = random.Random(29)
     for g in (cyclic(9), cyclic(15), cyclic(24)):
         for _ in range(40):

@@ -1,5 +1,8 @@
 """Verifier behavior: pass on theorems, hypothesis filtering, replayable failures."""
 
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 
 from critnum import verifiers
@@ -200,6 +203,51 @@ def test_ineq_2_3_sampled_nonabelian():
     report = verify_ineq_2_3(catalog_group("D8"), mode="sampled", trials=400, seed=3)
     assert report.failures == []
     assert (report.cases_checked, report.skipped) == (400, 0)
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_ineq_2_3_bound_is_met_exactly_in_d8(monkeypatch, lam):
+    # With lambda pinned to lam, a case holds exactly when removing y costs
+    # the closure at least lam elements.  Removing the only element costs 1;
+    # removing either element of a pair {a, b}, whose closure is
+    # {a, b, a+b, b+a}, costs 2 when a and b commute and 3 when they do not.
+    # So each lam has cases that meet it exactly and cases one short of it.
+    g = catalog_group("D8")
+    op = g.op
+    gaps = {((y,), y): 1 for y in range(1, g.n)}
+    for a, b in combinations(range(1, g.n), 2):
+        gaps[(a, b), a] = gaps[(a, b), b] = len({a, b, op[a][b], op[b][a]}) - 1
+    assert {lam - 1, lam} <= set(gaps.values())
+    monkeypatch.setattr(verifiers, "lambda_bits", lambda g, b_bits, x: lam)
+    report = verify_ineq_2_3(g, mode="exhaustive", max_size=2)
+    assert report.cases_checked == len(gaps)
+    assert report.failures == [
+        {"set": list(members), "y": y} for (members, y), gap in gaps.items() if gap < lam
+    ]
+
+
+@pytest.mark.parametrize("extra, fails", [(0, False), (1, True)])
+def test_ineq_2_4_bound_is_met_exactly(monkeypatch, extra, fails):
+    # At s = k - 1 the floor is (2k + 2) * 2 - 2 + 4 b_prev = 4(k + 1 + b_prev) - 2,
+    # so b_prev = |closure| - k - 1 puts its whole-number value at exactly
+    # |closure|, and one more puts it one above.  The s = k floor,
+    # 2k + 1 + 4 b_prev on the same b_prev, stays below either way.
+    def fake_sequence(g, x):
+        k = len(x)
+        total = exact_reach_mask(g, x.indices()).bit_count()
+        b_prev = total - k - 1 + extra
+        return SimpleNamespace(
+            critical_index=k - 1, prefix_sizes=(0,) * (k - 3) + (b_prev, b_prev, total)
+        )
+
+    monkeypatch.setattr(verifiers, "resolving_sequence", fake_sequence)
+    report = verify_ineq_2_4(cyclic(27), trials=200, seed=3)
+    assert report.cases_checked > 0
+    if fails:
+        assert len(report.failures) == report.cases_checked
+        assert all(f["s"] == f["critical_index"] == len(f["set"]) - 1 for f in report.failures)
+    else:
+        assert report.failures == []
 
 
 def test_ineq_2_4_sampled_z27():
