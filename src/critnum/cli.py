@@ -51,6 +51,14 @@ def _parse_set(text: str) -> list[int]:
         raise ValueError(f"--set expects comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for a count of work: below 1 it would run nothing and pass."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _group_summary(g) -> dict:
     flags = cat.compute_flags(g)
     return {
@@ -99,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--group", required=True)
     p_cr.add_argument("--budget", type=int, default=None)
     p_cr.add_argument("--t", type=int, default=None, help="subset size for sampling")
-    p_cr.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_cr.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_cr.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_res = sub.add_parser("resolve", parents=[shared], help="resolving sequence of a set")
@@ -110,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("lemma_id")
     p_ver.add_argument("--group", default=None)
     p_ver.add_argument("--mode", choices=["exhaustive", "sampled"], default=None)
-    p_ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_ver.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--budget", type=int, default=None)
 
@@ -285,8 +293,9 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
             return 0 if all(r["complete"] for r in reports) else 3
 
-    except (KeyError, ValueError, GroupValidationError, FileNotFoundError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
+    except (KeyError, ValueError, GroupValidationError, OSError) as exc:
+        # an OSError's first argument is its errno; its text names the path
+        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         print("run 'critnum --help' for usage", file=sys.stderr)
         return 2

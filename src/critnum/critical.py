@@ -230,8 +230,9 @@ _SCAN: dict = {}
 # deepest frame whose children are tested for a canonical prefix (a frame
 # at depth d tests prefixes of d + 1 positions); on the five order-27 scans
 # at t = 10, depths 0, 2, 3 and 4 evaluate 183,773, 114,021, 101,519 and
-# 94,673 children, and at depth 4 the tests cost more than they save
-_CANON_DEPTH = 2
+# 94,673 children.  Depth 3 also runs faster than depth 2 (see README.md),
+# and at depth 4 the tests cost more than they save
+_CANON_DEPTH = 3
 
 
 def _scan_escalate(members: tuple[int, ...]) -> bool:
@@ -244,15 +245,20 @@ def _scan_escalate(members: tuple[int, ...]) -> bool:
 _PositionMap = tuple[tuple[int, ...], int, list[int]]
 
 
-def _symmetry_masks(perms: Sequence[tuple[int, ...]]) -> list[_PositionMap]:
-    """Each map of scan positions with its bit-sets for `_noncanonical_children`."""
+def _symmetry_masks(g: GroupTable) -> list[_PositionMap]:
+    """Each symmetry but the identity as a map of scan positions, with its bit-sets.
+
+    Position q goes to the position of the image of the element at q, so
+    `order[perm[q]] == phi[order[q]]` for `order = g.scan_order`.
+    """
+    order = g.scan_order
+    pos = {a: p for p, a in enumerate(order)}
     out = []
-    for perm in perms:
-        preimage = [0] * len(perm)
-        for q, v in enumerate(perm):
-            preimage[v] = q
+    for phi in g.symmetries[1:]:
+        perm = tuple(pos[phi[a]] for a in order)
         below = [0]
-        for q in preimage:
+        # positions by their images, ascending: the preimage of 0, 1, ...
+        for q in sorted(range(g.n), key=perm.__getitem__):
             below.append(below[-1] | 1 << q)
         lower = sum(1 << q for q, v in enumerate(perm) if v < q)
         out.append((perm, lower, below))
@@ -293,6 +299,10 @@ def _noncanonical_children(syms: list[_PositionMap], prefix: Sequence[int]) -> i
     return skip
 
 
+class _ScanEnd(Exception):
+    """Cap reached, non-basis found or leaf undecided; args are the scan's result."""
+
+
 def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     """Find the first non-basis among the first `cap` size-`size` subsets of G\\{0}.
 
@@ -308,13 +318,13 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     only).
 
     The walk after a prefix depends only on the prefix's walk and the
-    elements appended, so a finished subtree all of whose leaves were
-    visited and walked to the whole group is recorded in `settled[d]`
-    (keyed by the walk of its d+1-element prefix, valued by that prefix's
-    last position p0).  A later prefix of the same length and walk ending
-    at p >= p0 has a subset of those completions and is counted like a full
-    prefix.  The memo restarts whenever the first position advances, which
-    bounds its size.
+    elements appended, so a subtree is settled when every leaf below it was
+    visited and walked to the whole group: its frame returns True.  A
+    settled subtree is recorded in `settled[d]` (keyed by the walk of its
+    d+1-element prefix, valued by that prefix's last position p0).  A later
+    prefix of the same length and walk ending at p >= p0 has a subset of
+    those completions and is counted like a full prefix.  The memo restarts
+    whenever the first position advances, which bounds its size.
 
     A prefix of at most `_CANON_DEPTH` + 1 positions that a symmetry maps
     to an earlier set of positions has its subtree counted without being
@@ -323,7 +333,7 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     the first positions that are not the head of their orbit block.  The
     count and the find are those of the full scan in the same order at
     every cap.  A skipped subtree was not looked at, so, like a short leaf,
-    it keeps its enclosing frames out of the memo.
+    it leaves its enclosing frames unsettled.
 
     Returns the number of subsets certified or examined and the first
     non-basis in scan order, as a sorted tuple of elements, or None.  A
@@ -331,6 +341,8 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     scan uncounted, short of `cap`.
     """
     size, cap = args
+    if cap <= 0:
+        return 0, None
     g = _SCAN["g"]
     n = g.n
     full = g.full_mask
@@ -339,72 +351,60 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     order = g.scan_order
     shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
-    checked = 0
-    if cap <= 0:
-        return checked, None
     last = size - 1
-    syms = _symmetry_masks(g.scan_symmetries)
+    syms = _symmetry_masks(g)
     path = [0] * size
     settled: list[dict[int, int]] = [{} for _ in range(size)]
-    # short leaves and skipped subtrees seen so far
-    unsettled = 0
-    # per open frame: its children, the walk of its prefix and that walk's
-    # nonzero chunks, the children it skips, and `unsettled` on entry
-    stack = [(iter(range(1, n - last)), 0, [], _noncanonical_children(syms, ()), 0)]
-    while stack:
-        d = len(stack) - 1
-        children, r, chunks, skip, entered = stack[d]
+    checked = 0
+
+    def frame(d: int, r: int) -> bool:
+        """Scan the children of the prefix `path[:d]`, whose walk is r; True if settled."""
+        nonlocal checked
         memo = settled[d]
-        for p in children:
+        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
+        # the parent frame tested this prefix, so it is canonical
+        skip = _noncanonical_children(syms, path[:d]) if d <= _CANON_DEPTH else 0
+        clean = True
+        for p in range(path[d - 1] + 1 if d else 1, n - last + d):
             if skip >> p & 1:
-                unsettled += 1
-                checked += comb(n - 1 - p, last - d)
-                if checked >= cap:
-                    return cap, None
-                continue
-            a = order[p]
-            per = tables[a]
-            x = r | 1 << a
-            for c, v in chunks:
-                x |= per[c][v]
-            if x == full or memo.get(x, n) <= p:
-                checked += comb(n - 1 - p, last - d)
-                if checked >= cap:
-                    return cap, None
-                continue
-            path[d] = p
-            if d < last:
-                if not d:
-                    for m in settled:
-                        m.clear()
-                stack.append(
-                    (
-                        iter(range(p + 1, n - last + d + 1)),
-                        x,
-                        [(c, v) for c, sh in enumerate(shifts) if (v := x >> sh & CHUNK_MASK)],
-                        # the parent frame tested this prefix, so it is canonical
-                        _noncanonical_children(syms, path[: d + 1]) if d < _CANON_DEPTH else 0,
-                        unsettled,
-                    )
-                )
-                break
-            unsettled += 1
-            members = tuple(sorted(order[q] for q in path))
-            try:
-                basis = escalate and _scan_escalate(members)
-            except CapacityError:
-                return checked, None
-            checked += 1
-            if not basis:
-                return checked, members
+                clean = False
+            else:
+                a = order[p]
+                per = tables[a]
+                x = r | 1 << a
+                for c, v in chunks:
+                    x |= per[c][v]
+                if x != full and memo.get(x, n) > p:
+                    path[d] = p
+                    if d < last:
+                        if not d:
+                            for m in settled:
+                                m.clear()
+                        # a descent happens only when no entry certifies it,
+                        # so this p is the smallest seen for the walk
+                        if frame(d + 1, x):
+                            memo[x] = p
+                        else:
+                            clean = False
+                        continue
+                    clean = False
+                    members = tuple(sorted(order[q] for q in path))
+                    try:
+                        basis = escalate and _scan_escalate(members)
+                    except CapacityError:
+                        raise _ScanEnd(checked, None) from None
+                    if not basis:
+                        raise _ScanEnd(checked + 1, members)
+            # a skipped subtree, a full walk, a memo hit or a basis leaf
+            checked += comb(n - 1 - p, last - d)
             if checked >= cap:
-                return checked, None
-        else:
-            stack.pop()
-            if entered == unsettled and d:
-                # a descent happens only when no entry certifies it, so this
-                # p0 is the smallest seen for the walk
-                settled[d - 1][r] = path[d - 1]
+                raise _ScanEnd(cap, None)
+        return clean
+
+    try:
+        frame(0, 0)
+    except _ScanEnd as end:
+        return end.args
     return checked, None
 
 
@@ -533,6 +533,8 @@ def cr_sampled_upper(
     n = g.n
     if not 1 <= t <= n - 1:
         raise ValueError(f"sample size t={t} out of range 1..{n - 1}")
+    if trials < 0 or trials + len(include) == 0:
+        raise ValueError(f"a sample needs trials >= 0 and one subset to check, got {trials}")
     rng = random.Random(seed)
     checked = 0
     nonbases = 0

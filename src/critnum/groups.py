@@ -151,20 +151,6 @@ class GroupTable:
         ordered = sorted(blocks.values(), key=lambda b: (-len(b), b[0]))
         return (0, *(x for block in ordered for x in block))
 
-    @cached_property
-    def scan_symmetries(self) -> tuple[tuple[int, ...], ...]:
-        """Each symmetry but the identity as a map of `scan_order` positions.
-
-        Position q goes to the position of the image of the element at q.
-        """
-        order = self.scan_order
-        pos = [0] * self.n
-        for p, a in enumerate(order):
-            pos[a] = p
-        identity = tuple(range(self.n))
-        perms = (tuple(pos[phi[a]] for a in order) for phi in self.symmetries)
-        return tuple(perm for perm in perms if perm != identity)
-
     def translate(self, bits: int, x: int) -> int:
         """Right translate of a bit-set: {y + x : y in bits}."""
         out = 0

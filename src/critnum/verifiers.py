@@ -117,6 +117,8 @@ def _run_cases(
     t0 = time.perf_counter()
     sampled = mode == "sampled"
     if sampled:
+        if trials < 1:
+            raise ValueError(f"{lemma_id}: a sampled run needs trials >= 1, got {trials}")
         rng = _group_rng(seed, g)
         cases: Iterable[Any] = (draw(rng) for _ in range(trials))
     else:

@@ -65,6 +65,25 @@ def test_cr_sample_requires_t(capsys):
     assert "--t" in err
 
 
+def test_cr_sample_refuses_a_count_below_one(capsys):
+    # -3 trials once printed upper_bound 4 with no subset checked, and exited 0
+    for trials in ("-3", "0"):
+        code, out, err = run(
+            capsys, "cr", "sample", "--group", "Z9", "--t", "4", "--trials", trials
+        )
+        assert code == 2 and out == ""
+        assert "positive integer" in err
+
+
+def test_verify_sampled_refuses_zero_trials(capsys):
+    # 0 trials once printed cases_checked 0 and complete true, and exited 0
+    code, out, err = run(
+        capsys, "verify", "L2.1", "--group", "D3", "--mode", "sampled", "--trials", "0"
+    )
+    assert code == 2 and out == ""
+    assert "positive integer" in err
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "CDFOLD")
     assert code == 0
@@ -189,6 +208,24 @@ def test_group_load_invalid_table_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "group", "load", str(path))
     assert code == 2
     assert "identity/inverse" in err
+
+
+@pytest.mark.parametrize("name,reason", [("", "Is a directory"), ("nope", "No such file")])
+def test_group_load_of_an_unreadable_path_usage_error(capsys, tmp_path, name, reason):
+    # the message names the path, not the bare errno
+    path = tmp_path / name
+    code, _, err = run(capsys, "group", "load", str(path))
+    assert code == 2
+    assert reason in err and str(path) in err
+
+
+def test_cache_path_under_a_regular_file_usage_error(capsys, tmp_path, monkeypatch):
+    # exit 1 means a verifier failed, so an unusable cache path must not give it
+    (tmp_path / "plain").write_text("")
+    monkeypatch.setenv("CRITNUM_CACHE", str(tmp_path / "plain" / "cache.jsonl"))
+    code, out, err = run(capsys, "cr", "exact", "--group", "D3")
+    assert code == 2 and out == ""
+    assert "plain" in err
 
 
 def test_sigma_output(capsys):

@@ -354,6 +354,21 @@ def canonical_prefix(g, positions):
     return all(sorted(where[phi[order[p]]] for p in positions) >= key for phi in g.symmetries)
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog_init()])
+def test_symmetry_masks_are_the_symmetries_as_maps_of_scan_positions(name):
+    # one map per symmetry but the identity; each a permutation of the
+    # positions that fixes 0 and carries the symmetry: the element at
+    # position q goes to the element at position perm[q]
+    g = catalog_group(name)
+    order = g.scan_order
+    maps = critical._symmetry_masks(g)
+    assert len(maps) == len(g.symmetries) - 1
+    for (perm, _, _), phi in zip(maps, g.symmetries[1:]):
+        assert sorted(perm) == list(range(g.n))
+        assert perm[0] == 0
+        assert all(order[perm[q]] == phi[order[q]] for q in range(g.n))
+
+
 def without_symmetries(name, scan_order=None):
     """A fresh catalog table whose only symmetry is the identity, so nothing is skipped."""
     h = catalog_group.__wrapped__(name)
@@ -379,7 +394,7 @@ def test_single_find_scan_skips_symmetric_first_elements(
     # at t = cr the scan certifies every subset.  In block order it escalates
     # fewer short leaves than in the plain order (a fresh table with no
     # symmetry but the identity, so its orbits are all singletons), and it
-    # does not visit a prefix of up to three positions that a symmetry maps
+    # does not visit a prefix of up to four positions that a symmetry maps
     # earlier, so it escalates fewer than the same order unskipped
     g = catalog_group(name)
     plain_order = without_symmetries(name)
@@ -400,7 +415,8 @@ def test_single_find_scan_skips_symmetric_first_elements(
         assert len(calls) == want, h is g
     assert results == [(math.comb(g.n - 1, size), None, True)] * 3
     where = {a: p for p, a in enumerate(g.scan_order)}
-    assert all(canonical_prefix(g, sorted(map(where.get, m))[:3]) for m in calls)
+    tested = critical._CANON_DEPTH + 1
+    assert all(canonical_prefix(g, sorted(map(where.get, m))[:tested]) for m in calls)
     # the skip keeps the count and the find of the full scan in the same
     # order at every budget, also one size down, where a non-basis is found
     for s in (size - 1, size):
@@ -416,8 +432,8 @@ def test_single_find_scan_skips_symmetric_first_elements(
 def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
     # pruning and the memo certify only subtrees whose every leaf walks to
     # the whole group, so the scan escalates exactly the leaves whose first
-    # three positions form a canonical prefix and whose walk falls short, in
-    # scan order, up to the first non-basis
+    # `_CANON_DEPTH` + 1 positions form a canonical prefix and whose walk
+    # falls short, in scan order, up to the first non-basis
     g = catalog_group(name)
     where = {a: p for p, a in enumerate(g.scan_order)}
     calls = []
@@ -431,7 +447,7 @@ def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
     _, found, _ = find_nonbases(g, size)
     want = []
     for comb in scan_combinations(g, size):
-        prefix = [where[a] for a in comb[:3]]
+        prefix = [where[a] for a in comb[: critical._CANON_DEPTH + 1]]
         if canonical_prefix(g, prefix) and fixed_order_reach_mask(g, comb) != g.full_mask:
             want.append(tuple(sorted(comb)))
             if want[-1] == found:
@@ -603,6 +619,18 @@ def test_cr_sampled_upper_at_full_size():
         assert cr_exhaustive(g).value <= g.n - 1
         cert = cr_sampled_upper(g, g.n - 1, 50, seed=2)
         assert cert.nonbases_found == 0
+
+
+@pytest.mark.parametrize("trials,include", [(0, ()), (-3, ()), (-3, [(1, 2, 3)])])
+def test_cr_sampled_upper_refuses_a_sample_with_nothing_or_a_negative_count(trials, include):
+    # a sample that checks nothing would report upper_bound t with 0 subsets
+    with pytest.raises(ValueError):
+        cr_sampled_upper(catalog_group("Z9"), 4, trials, include=include)
+
+
+def test_cr_sampled_upper_checks_an_included_subset_with_no_draws():
+    cert = cr_sampled_upper(catalog_group("Z9"), 4, 0, include=[(1, 2, 3, 4)])
+    assert cert.subsets_checked == 1
 
 
 def test_formula_agrees_with_exhaustive_up_to_order_21():
@@ -849,12 +877,13 @@ def scan_lookups(name, size):
 
 def test_order27_scans_evaluate_the_pinned_number_of_children():
     # at t = 10 no leaf is escalated, so every lookup is a child evaluation.
-    # Pinned from the scan with canonical prefixes of up to three positions
-    # (183,773 with first positions only); more means a weaker skip or memo
-    want = {"Z27": 21504, "Z9xZ3": 27232, "Z3xZ3xZ3": 41014, "H27": 9614, "Z9:Z3": 14657}
+    # Pinned from the scan with canonical prefixes of up to four positions
+    # (183,773 with first positions only, 114,021 with up to three); more
+    # means a weaker skip or memo
+    want = {"Z27": 15204, "Z9xZ3": 26552, "Z3xZ3xZ3": 41014, "H27": 7443, "Z9:Z3": 11306}
     got = {}
     for name in ORDER27:
         got[name], result = scan_lookups(name, 10)
         assert result == (math.comb(26, 10), None, True)
     assert got == want
-    assert sum(got.values()) == 114021
+    assert sum(got.values()) == 101519

@@ -49,6 +49,16 @@ def test_l21_sampled_deterministic():
     assert r1.failures == r2.failures == []
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_run_refuses_fewer_than_one_trial(trials):
+    # a sampled run of no draws would report complete with no case checked
+    g = catalog_group("D3")
+    with pytest.raises(ValueError):
+        verify_L2_1(g, mode="sampled", trials=trials)
+    with pytest.raises(ValueError):
+        verify_ineq_2_4(g, trials=trials)
+
+
 def test_l22_z15_exhaustive():
     report = verify_L2_2(cyclic(15))
     assert report.cases_checked == 3432  # C(14, 7)
