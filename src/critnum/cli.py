@@ -30,8 +30,9 @@ from .verifiers import DEFAULT_TRIALS
 
 # part of every cache key; raise it whenever a command's record can change
 # for the same arguments, so records of an older engine are misses.  1: the
-# scan visits subsets in orbit-block order (other witnesses and counts).
-ENGINE_VERSION = 1
+# scan visits subsets in orbit-block order (other witnesses and counts).  2: a
+# sampled `verify` run that checked no case reports "complete": false.
+ENGINE_VERSION = 2
 
 
 def _print_json(obj: dict, pretty: bool) -> None:
@@ -118,8 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("lemma_id")
     p_ver.add_argument("--group", default=None)
     p_ver.add_argument("--mode", choices=["exhaustive", "sampled"], default=None)
-    p_ver.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # None leaves the verifier's own default, and lets a lemma refuse a flag it does not read
+    p_ver.add_argument("--trials", type=_positive_int, default=None)
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--budget", type=int, default=None)
 
     p_cat = sub.add_parser("catalog", help="catalog management")
@@ -148,39 +150,10 @@ def _run_cr(args) -> dict:
 
 
 def _run_verify(args) -> list[dict]:
-    lemma = args.lemma_id
-    if lemma == "CDFOLD":
-        reports = [ver.verify_cd_fold()]
-    elif lemma == "T1.3small":
-        reports = [ver.verify_T1_3_small(budget=args.budget)]
-    elif lemma == "L2.6":
-        g = None if args.group is None else cat.resolve_group(args.group)
-        reports = [ver.verify_L2_6(g, budget=args.budget)]
-    elif lemma in ver.LEMMA_IDS or lemma == "L2.5":
-        if args.group is None:
-            raise ValueError(f"verify {lemma} requires --group")
-        g = cat.resolve_group(args.group)
-        seeded = {"trials": args.trials, "seed": args.seed}
-        if lemma == "L2.1":
-            reports = [ver.verify_L2_1(g, mode=args.mode, **seeded)]
-        elif lemma == "L2.2":
-            reports = [ver.verify_L2_2(g, mode=args.mode, **seeded)]
-        elif lemma == "L2.3":
-            reports = [ver.verify_L2_3(g, mode=args.mode, **seeded)]
-        elif lemma == "L2.4":
-            reports = [ver.verify_L2_4(g, mode=args.mode, **seeded)]
-        elif lemma == "L2.5":
-            reports = ver.run_L2_5(g)
-        elif lemma.startswith("L2.5"):
-            reports = [ver.verify_L2_5(g, lemma[len("L2.5"):])]
-        elif lemma == "INEQ2.3":
-            reports = [ver.verify_ineq_2_3(g, mode=args.mode, **seeded)]
-        else:
-            reports = [ver.verify_ineq_2_4(g, **seeded)]
-    else:
-        raise ValueError(
-            f"unknown lemma id {lemma!r}; choose from {', '.join(ver.LEMMA_IDS)}"
-        )
+    g = None if args.group is None else cat.resolve_group(args.group)
+    reports = ver.run(
+        args.lemma_id, g, mode=args.mode, trials=args.trials, seed=args.seed, budget=args.budget
+    )
     return [r.to_json() for r in reports]
 
 

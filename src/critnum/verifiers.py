@@ -8,7 +8,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import ORDER27_NAMES, catalog_group, catalog_init
 from .critical import DEFAULT_SEED, cr_exhaustive, cr_formula, find_nonbases, resolving_sequence
@@ -30,23 +30,6 @@ from .sumsets import (
 )
 
 DEFAULT_TRIALS = 10_000
-
-LEMMA_IDS = (
-    "L2.1",
-    "L2.2",
-    "L2.3",
-    "L2.4",
-    "L2.5i",
-    "L2.5ii",
-    "L2.5iii",
-    "L2.5iv",
-    "L2.5v",
-    "L2.6",
-    "INEQ2.3",
-    "INEQ2.4",
-    "CDFOLD",
-    "T1.3small",
-)
 
 
 @dataclass
@@ -85,23 +68,60 @@ class VerificationReport:
         }
 
 
-def _ms(t0: float) -> int:
-    return int(round((time.perf_counter() - t0) * 1000))
-
-
-def _group_rng(seed: int, g: GroupTable) -> random.Random:
-    return random.Random((seed * 1_000_003 + zlib.crc32(g.name.encode())) & 0xFFFFFFFF)
-
-
 def _pick_mode(mode: Optional[str], g: GroupTable, exhaustive_cap: int) -> str:
     if mode in ("exhaustive", "sampled"):
         return mode
     return "exhaustive" if g.n <= exhaustive_cap else "sampled"
 
 
+# an outcome is None for a case outside the lemma's hypotheses, or
+# (cases checked, failure record or None, whether it ran to the end)
+_Outcome = Optional[tuple[int, Optional[dict], bool]]
+
+
+def _tally(
+    lemma_id: str,
+    group_name: str,
+    mode: str,
+    outcomes: Iterable[_Outcome],
+    seed: Optional[int] = None,
+    trials: Optional[int] = None,
+) -> VerificationReport:
+    """The one place a report is made: the sum of `outcomes`, timed as they are produced.
+
+    A sampled run that checked no case is incomplete, not a pass; an exhaustive
+    run whose every case lies outside the hypotheses holds vacuously.
+    """
+    t0 = time.perf_counter()
+    checked = skipped = 0
+    failures: list[dict] = []
+    complete = True
+    for outcome in outcomes:
+        if outcome is None:
+            skipped += 1
+            continue
+        count, failure, done = outcome
+        checked += count
+        complete = complete and done
+        if failure is not None:
+            failures.append(failure)
+    return VerificationReport(
+        lemma_id=lemma_id,
+        group_name=group_name,
+        mode=mode,
+        cases_checked=checked,
+        skipped=skipped,
+        failures=failures,
+        seed=seed,
+        trials=trials,
+        elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
+        complete=complete and (checked > 0 or mode == "exhaustive"),
+    )
+
+
 def _run_cases(
     lemma_id: str,
-    g: GroupTable,
+    group_name: str,
     mode: str,
     check: Callable[[Any], Optional[dict]],
     every: Optional[Callable[[], Iterable[Any]]] = None,
@@ -112,38 +132,18 @@ def _run_cases(
     """The verifiers' case loop: `check` every case of `every()`, or of `trials` seeded draws.
 
     A `None` case lies outside the lemma's hypotheses and counts as skipped;
-    `check` returns a failure record, or `None` when the case holds.
+    `check` returns a failure record, or `None` when the case holds.  The
+    draws are seeded by `seed` and the group's name.
     """
-    t0 = time.perf_counter()
-    sampled = mode == "sampled"
-    if sampled:
+    if mode == "sampled":
         if trials < 1:
             raise ValueError(f"{lemma_id}: a sampled run needs trials >= 1, got {trials}")
-        rng = _group_rng(seed, g)
+        rng = random.Random((seed * 1_000_003 + zlib.crc32(group_name.encode())) & 0xFFFFFFFF)
         cases: Iterable[Any] = (draw(rng) for _ in range(trials))
     else:
-        cases = every()
-    checked = skipped = 0
-    failures: list[dict] = []
-    for case in cases:
-        if case is None:
-            skipped += 1
-            continue
-        checked += 1
-        failure = check(case)
-        if failure is not None:
-            failures.append(failure)
-    return VerificationReport(
-        lemma_id=lemma_id,
-        group_name=g.name,
-        mode=mode,
-        cases_checked=checked,
-        skipped=skipped,
-        failures=failures,
-        seed=seed if sampled else None,
-        trials=trials if sampled else None,
-        elapsed_ms=_ms(t0),
-    )
+        cases, seed, trials = every(), None, None
+    outcomes = (None if case is None else (1, check(case), True) for case in cases)
+    return _tally(lemma_id, group_name, mode, outcomes, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def verify_L2_1(
                 return None
         return {"A": list(a), "B": list(b)}
 
-    return _run_cases("L2.1", g, _pick_mode(mode, g, 10), check, every, draw, trials, seed)
+    return _run_cases("L2.1", g.name, _pick_mode(mode, g, 10), check, every, draw, trials, seed)
 
 
 def _bits_list(bits: int) -> list[int]:
@@ -210,7 +210,6 @@ def verify_L2_2(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     p = smallest_prime_divisor(g.n) if g.n > 1 else 1
     q = g.n // p
     if not (g.is_abelian and is_prime(p) and is_prime(q)):
@@ -219,19 +218,15 @@ def verify_L2_2(
         )
     size = p + q - 1
     if _pick_mode(mode, g, 35) == "exhaustive":
-        checked, found, complete = find_nonbases(g, size)
-        return VerificationReport(
-            lemma_id="L2.2",
-            group_name=g.name,
-            mode="exhaustive",
-            cases_checked=checked,
-            failures=[] if found is None else [{"set": list(found)}],
-            elapsed_ms=_ms(t0),
-            complete=complete,
-        )
+
+        def scan():
+            checked, found, complete = find_nonbases(g, size)
+            yield checked, None if found is None else {"set": list(found)}, complete
+
+        return _tally("L2.2", g.name, "exhaustive", scan())
     return _run_cases(
         "L2.2",
-        g,
+        g.name,
         "sampled",
         lambda comb: None if covers_group(g, comb) else {"set": list(comb)},
         draw=lambda rng: tuple(sorted(rng.sample(range(1, g.n), size))),
@@ -297,7 +292,7 @@ def verify_L2_3(
                 return None
         return {"set": list(s_members), "B": _bits_list(b_bits)}
 
-    return _run_cases("L2.3", g, mode, check, every, draw, trials, seed)
+    return _run_cases("L2.3", g.name, mode, check, every, draw, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +340,7 @@ def verify_L2_4(
 
     return _run_cases(
         "L2.4",
-        g,
+        g.name,
         _pick_mode(mode, g, 27),
         check,
         every,
@@ -416,49 +411,32 @@ def verify_L2_5(g: GroupTable, item: str) -> VerificationReport:
                     return None
             return {"A": list(a_comb), "B": list(b_comb)}
 
-    return _run_cases(f"L2.5{item}", g, "exhaustive", check, every)
-
-
-def run_L2_5(g: GroupTable) -> list[VerificationReport]:
-    return [verify_L2_5(g, item) for item in ("i", "ii", "iii", "iv", "v")]
+    return _run_cases(f"L2.5{item}", g.name, "exhaustive", check, every)
 
 
 # ---------------------------------------------------------------------------
 # L2.6: every group of order 27 has critical number 10
 
 
+def _cr_outcome(h: GroupTable, expected: int, budget: Optional[int]) -> _Outcome:
+    """Exact cr of `h`: the subsets its scan checked, a failure unless it is `expected`, and
+    whether the scan finished within `budget`."""
+    cert = cr_exhaustive(h, budget=budget)
+    failure = None
+    if cert.value not in (None, expected):
+        failure = {"group": h.name, "cr": cert.value, "expected": expected}
+    return cert.subsets_checked, failure, cert.value is not None
+
+
 def verify_L2_6(
     g: Optional[GroupTable] = None, budget: Optional[int] = None
 ) -> VerificationReport:
     """Exact cr of `g`, or of all five order-27 catalog groups when `g` is None."""
-    t0 = time.perf_counter()
-    if g is None:
-        groups = [catalog_group(name) for name in ORDER27_NAMES]
-        group_name = "*"
-    else:
-        if g.n != 27:
-            raise ValueError(f"group {g.name} has order {g.n}, expected 27")
-        groups = [g]
-        group_name = g.name
-    cases = 0
-    failures: list[dict] = []
-    complete = True
-    for h in groups:
-        cert = cr_exhaustive(h, budget=budget)
-        cases += cert.subsets_checked
-        if cert.value is None:
-            complete = False
-        elif cert.value != 10:
-            failures.append({"group": h.name, "cr": cert.value, "expected": 10})
-    return VerificationReport(
-        lemma_id="L2.6",
-        group_name=group_name,
-        mode="exhaustive",
-        cases_checked=cases,
-        failures=failures,
-        elapsed_ms=_ms(t0),
-        complete=complete,
-    )
+    if g is not None and g.n != 27:
+        raise ValueError(f"group {g.name} has order {g.n}, expected 27")
+    groups = [catalog_group(name) for name in ORDER27_NAMES] if g is None else [g]
+    outcomes = (_cr_outcome(h, 10, budget) for h in groups)
+    return _tally("L2.6", "*" if g is None else g.name, "exhaustive", outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -466,45 +444,33 @@ def verify_L2_6(
 
 
 def verify_T1_3_small(budget: Optional[int] = None) -> VerificationReport:
-    t0 = time.perf_counter()
-    cases = 0
-    failures: list[dict] = []
+    """One case per non-abelian catalog group of even order 6 to 16: an exact cr scan
+    where an index-2 subgroup exists, and a check that the predicate excludes the rest."""
     excluded = []
-    complete = True
-    for entry in catalog_init():
-        if entry.order % 2 or not 6 <= entry.order <= 16 or entry.abelian:
-            continue
-        g = catalog_group(entry.name)
-        if not entry.has_index2_subgroup:
-            cases += 1
+
+    def outcomes():
+        for entry in catalog_init():
+            if entry.order % 2 or not 6 <= entry.order <= 16 or entry.abelian:
+                continue
+            g = catalog_group(entry.name)
+            if entry.has_index2_subgroup:
+                expected = 4 if entry.order == 6 else entry.order // 2
+                _, failure, done = _cr_outcome(g, expected, budget)
+                yield 1, failure, done
+                continue
+            failure = None
             pred = cr_formula(g)
             if pred is not None and pred.theorem_tag in ("T1.3i", "T1.3ii"):
-                failures.append(
-                    {"group": entry.name, "error": "predicate should have excluded this group"}
-                )
+                error = "predicate should have excluded this group"
+                failure = {"group": entry.name, "error": error}
             else:
                 excluded.append(entry.name)
-            continue
-        expected = 4 if entry.order == 6 else entry.order // 2
-        cert = cr_exhaustive(g, budget=budget)
-        cases += 1
-        if cert.value is None:
-            complete = False
-        elif cert.value != expected:
-            failures.append({"group": entry.name, "cr": cert.value, "expected": expected})
-    notes = None
+            yield 1, failure, True
+
+    report = _tally("T1.3small", "*", "exhaustive", outcomes())
     if excluded:
-        notes = "predicate correctly excludes: " + ", ".join(excluded)
-    return VerificationReport(
-        lemma_id="T1.3small",
-        group_name="*",
-        mode="exhaustive",
-        cases_checked=cases,
-        failures=failures,
-        elapsed_ms=_ms(t0),
-        complete=complete,
-        notes=notes,
-    )
+        report.notes = "predicate correctly excludes: " + ", ".join(excluded)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +507,7 @@ def verify_ineq_2_3(
             return None
         return {"set": list(members), "y": y}
 
-    return _run_cases("INEQ2.3", g, mode, check, every, draw, trials, seed)
+    return _run_cases("INEQ2.3", g.name, mode, check, every, draw, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +520,7 @@ def verify_ineq_2_4(
     seed: int = DEFAULT_SEED,
     min_size: int = 4,
     max_size: int = 10,
+    mode: Optional[str] = None,
 ) -> VerificationReport:
     """Seeded check of the resolving-sequence floor on sign-disjoint subsets.
 
@@ -563,6 +530,8 @@ def verify_ineq_2_4(
     A failing X is reported once, at the first s whose floor it misses.
     """
     n = g.n
+    if mode == "exhaustive":
+        raise ValueError("INEQ2.4 is a sampled check: it has no --mode exhaustive")
     if n % 2 == 0:
         raise ValueError("this check applies to odd-order groups only")
     pairs = _inverse_pairs(g)
@@ -585,7 +554,7 @@ def verify_ineq_2_4(
                 return {"set": list(members), "s": s, "critical_index": t, "closure_size": total}
         return None
 
-    return _run_cases("INEQ2.4", g, "sampled", check, draw=draw, trials=trials, seed=seed)
+    return _run_cases("INEQ2.4", g.name, "sampled", check, draw=draw, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -593,23 +562,77 @@ def verify_ineq_2_4(
 
 
 def verify_cd_fold(qs: Sequence[int] = (2, 3, 5, 7)) -> VerificationReport:
-    t0 = time.perf_counter()
-    cases = 0
-    failures: list[dict] = []
     for q in qs:
         # (q-1)^(q-1) tuples: 46,656 at q = 7, 10^10 at q = 11
         if not is_prime(q) or q > 7:
             raise ValueError(f"fold check needs a prime q <= 7, got {q}")
-        g = cyclic(q)
-        for tup in product(range(1, q), repeat=q - 1):
-            cases += 1
-            if fold_cd(g, tup).bits != g.full_mask:
-                failures.append({"q": q, "elements": list(tup)})
-    return VerificationReport(
-        lemma_id="CDFOLD",
-        group_name=",".join(f"Z{q}" for q in qs),
-        mode="exhaustive",
-        cases_checked=cases,
-        failures=failures,
-        elapsed_ms=_ms(t0),
-    )
+
+    def every():
+        for q in qs:
+            g = cyclic(q)
+            for tup in product(range(1, q), repeat=q - 1):
+                yield g, tup
+
+    def check(case):
+        g, tup = case
+        return None if fold_cd(g, tup).bits == g.full_mask else {"q": g.n, "elements": list(tup)}
+
+    return _run_cases("CDFOLD", ",".join(f"Z{q}" for q in qs), "exhaustive", check, every)
+
+
+# ---------------------------------------------------------------------------
+# the lemma table: each id's runners, its group rule and the parameters it reads
+
+
+class Lemma(NamedTuple):
+    """`group` is "required", "optional" or "refused"; `reads` names the parameters
+    (of mode, trials, seed, budget) that `runners` take besides the group."""
+
+    runners: tuple[Callable[..., VerificationReport], ...]
+    group: str
+    reads: tuple[str, ...]
+
+
+_SAMPLED = ("mode", "trials", "seed")
+_L2_5_ITEMS = {f"L2.5{i}": partial(verify_L2_5, item=i) for i in ("i", "ii", "iii", "iv", "v")}
+
+LEMMAS: dict[str, Lemma] = {
+    "L2.1": Lemma((verify_L2_1,), "required", _SAMPLED),
+    "L2.2": Lemma((verify_L2_2,), "required", _SAMPLED),
+    "L2.3": Lemma((verify_L2_3,), "required", _SAMPLED),
+    "L2.4": Lemma((verify_L2_4,), "required", _SAMPLED),
+    "L2.5": Lemma(tuple(_L2_5_ITEMS.values()), "required", ()),
+    **{lemma_id: Lemma((runner,), "required", ()) for lemma_id, runner in _L2_5_ITEMS.items()},
+    "L2.6": Lemma((verify_L2_6,), "optional", ("budget",)),
+    "INEQ2.3": Lemma((verify_ineq_2_3,), "required", _SAMPLED),
+    "INEQ2.4": Lemma((verify_ineq_2_4,), "required", _SAMPLED),
+    "CDFOLD": Lemma((verify_cd_fold,), "refused", ()),
+    "T1.3small": Lemma((verify_T1_3_small,), "refused", ("budget",)),
+}
+LEMMA_IDS = tuple(LEMMAS)
+
+
+def run(lemma_id: str, g: Optional[GroupTable] = None, **params: Any) -> list[VerificationReport]:
+    """The reports of verifier `lemma_id` on `g`; a parameter given as None counts as not given.
+
+    Raises ValueError for an unknown id, a missing or unread group, or a
+    parameter the lemma does not read.
+    """
+    if lemma_id not in LEMMAS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; choose from {', '.join(LEMMA_IDS)}")
+    lemma = LEMMAS[lemma_id]
+    if g is None and lemma.group == "required":
+        raise ValueError(f"verify {lemma_id} requires --group")
+    if g is not None and lemma.group == "refused":
+        raise ValueError(f"verify {lemma_id} takes no --group")
+    given = {name: value for name, value in params.items() if value is not None}
+    for name in given:
+        if name not in lemma.reads:
+            raise ValueError(f"verify {lemma_id} does not read --{name}")
+    args = () if lemma.group == "refused" else (g,)
+    return [runner(*args, **given) for runner in lemma.runners]
+
+
+def run_L2_5(g: GroupTable) -> list[VerificationReport]:
+    """The five reports of L2.5 (i)-(v) on `g`."""
+    return run("L2.5", g)

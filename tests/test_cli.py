@@ -7,6 +7,8 @@ import pytest
 from critnum import sumsets
 from critnum.cache import ResultCache
 from critnum.cli import ENGINE_VERSION, cli_dispatch
+from critnum.critical import DEFAULT_SEED
+from critnum.verifiers import DEFAULT_TRIALS, LEMMA_IDS
 
 
 @pytest.fixture(autouse=True)
@@ -326,6 +328,88 @@ def test_exit_code_one_on_failures(capsys, monkeypatch):
             failures=[{"q": 2, "elements": [1]}],
         )
 
-    monkeypatch.setattr(cli_mod.ver, "verify_cd_fold", fake_verify)
+    lemma = cli_mod.ver.LEMMAS["CDFOLD"]
+    monkeypatch.setitem(cli_mod.ver.LEMMAS, "CDFOLD", lemma._replace(runners=(fake_verify,)))
     code, out, _ = run(capsys, "--no-cache", "verify", "CDFOLD")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["INEQ2.4", "--group", "Z9", "--mode", "sampled", "--trials", "1"],
+        ["L2.3", "--group", "Z9", "--mode", "sampled", "--trials", "1"],
+    ],
+)
+def test_verify_sampled_run_that_checked_nothing_exit_three(capsys, argv):
+    # the one draw lies outside the lemma's hypotheses: skipped, not a pass
+    code, out, _ = run(capsys, "--no-cache", "verify", *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert (report["cases_checked"], report["skipped"]) == (0, 1)
+    assert report["complete"] is False and report["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["CDFOLD", "--group", "Z27"], "--group"),
+        (["T1.3small", "--group", "Z27", "--mode", "sampled"], "--group"),
+        (["T1.3small", "--mode", "sampled"], "--mode"),
+        (["L2.1", "--group", "Z9", "--budget", "5"], "--budget"),
+        (["L2.5", "--group", "Z9", "--seed", "3"], "--seed"),
+        (["L2.6", "--trials", "5"], "--trials"),
+        (["INEQ2.4", "--group", "Z27", "--mode", "exhaustive"], "--mode"),
+    ],
+)
+def test_verify_refuses_a_flag_the_lemma_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "--no-cache", "verify", *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_verify_defaults_are_the_verifiers_own(capsys):
+    # an unset --trials/--seed leaves the verifier's default, which the report shows
+    code, out, _ = run(capsys, "--no-cache", "verify", "L2.1", "--group", "D6", "--mode", "sampled")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["seed"], report["trials"]) == (DEFAULT_SEED, DEFAULT_TRIALS)
+
+
+def test_cr_sample_defaults_unchanged(capsys):
+    base = ["--no-cache", "cr", "sample", "--group", "Z9", "--t", "5"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    default = json.loads(out)
+    assert default["subsets_checked"] == DEFAULT_TRIALS
+    code, out, _ = run(capsys, *base, "--trials", str(DEFAULT_TRIALS), "--seed", str(DEFAULT_SEED))
+    assert {**json.loads(out), "elapsed_ms": 0} == {**default, "elapsed_ms": 0}
+
+
+# cheap arguments for each verifier id; an id added to the table without an
+# entry here fails its case with a KeyError
+_CHEAP_VERIFY_ARGS = {
+    "L2.1": ["--group", "D3"],
+    "L2.2": ["--group", "cyclic(6)"],
+    "L2.3": ["--group", "Z9", "--mode", "sampled", "--trials", "20"],
+    "L2.4": ["--group", "Z9"],
+    "L2.5": ["--group", "Z9"],
+    "L2.5i": ["--group", "Z9"],
+    "L2.5ii": ["--group", "Z3xZ3"],
+    "L2.5iii": ["--group", "Z9"],
+    "L2.5iv": ["--group", "Z3xZ3"],
+    "L2.5v": ["--group", "Z9"],
+    "L2.6": ["--budget", "50"],
+    "INEQ2.3": ["--group", "D3"],
+    "INEQ2.4": ["--group", "Z27", "--trials", "50"],
+    "CDFOLD": [],
+    "T1.3small": ["--budget", "50"],
+}
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_every_verifier_id_is_reachable(capsys, lemma_id):
+    code, out, err = run(capsys, "--no-cache", "verify", lemma_id, *_CHEAP_VERIFY_ARGS[lemma_id])
+    assert code in (0, 3), err  # budgeted scans end incomplete
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert reports and all(r["lemma_id"].startswith(lemma_id) for r in reports)

@@ -49,6 +49,20 @@ def test_l21_sampled_deterministic():
     assert r1.failures == r2.failures == []
 
 
+@pytest.mark.parametrize("short", [0, 1])
+def test_l21_bound_is_the_whole_group(short):
+    # every translate of A misses element 0 when `short`, so each sum A + B
+    # falls one element short of the group: a failure for every pair
+    real = cyclic(4)
+    drop = ~1 if short else -1
+    g = SimpleNamespace(
+        n=4, name="Z4", full_mask=real.full_mask, translate=lambda a, x: real.translate(a, x) & drop
+    )
+    report = verify_L2_1(g, mode="exhaustive")
+    assert report.cases_checked == verify_L2_1(real).cases_checked > 0
+    assert len(report.failures) == (report.cases_checked if short else 0)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sampled_run_refuses_fewer_than_one_trial(trials):
     # a sampled run of no draws would report complete with no case checked
@@ -57,6 +71,17 @@ def test_sampled_run_refuses_fewer_than_one_trial(trials):
         verify_L2_1(g, mode="sampled", trials=trials)
     with pytest.raises(ValueError):
         verify_ineq_2_4(g, trials=trials)
+
+
+def test_sampled_run_that_checked_no_case_is_incomplete():
+    # Z9 has four inverse pairs, and a sign-disjoint set of all four has a
+    # closure of at least n/2: INEQ2.4 skips every draw at its default sizes
+    report = verify_ineq_2_4(cyclic(9), trials=200)
+    assert (report.cases_checked, report.skipped, report.complete) == (0, 200, False)
+    assert report.passed
+    # an exhaustive run with no case in the hypotheses holds vacuously
+    report = verify_L2_4(cyclic(9), 5, 6)
+    assert (report.cases_checked, report.skipped, report.complete) == (0, 0, True)
 
 
 def test_l22_z15_exhaustive():
@@ -175,6 +200,42 @@ def test_l25_all_items_both_groups():
         for item in ("i", "ii", "iii", "iv", "v"):
             report = verify_L2_5(g, item)
             assert report.failures == [], (name, item)
+
+
+def _first_bits(k: int, start: int = 0) -> int:
+    return ((1 << k) - 1) << start
+
+
+@pytest.mark.parametrize("below", [0, 1])
+@pytest.mark.parametrize(
+    "item, target, floor",
+    [
+        ("i", "exact_reach_mask", 6),
+        ("ii", "exact_reach_mask", 5),
+        ("iii", "exact_reach_mask", 7),
+        ("iv", "sigma_r", 5),
+    ],
+)
+def test_l25_closure_floor_is_met_exactly(monkeypatch, item, target, floor, below):
+    # every closure (item i: zero-sum free, so bit 0 stays clear) or pair-sum
+    # set has exactly the floor, or one element fewer
+    size = floor - below
+    if target == "sigma_r":
+        monkeypatch.setattr(verifiers, "sigma_r", lambda g, s, r: list(range(size)))
+    else:
+        monkeypatch.setattr(verifiers, "exact_reach_mask", lambda g, members: _first_bits(size, 1))
+    report = verify_L2_5(catalog_group("Z9"), item)
+    assert report.cases_checked > 0
+    assert len(report.failures) == (report.cases_checked if below else 0)
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_l25v_sumset_floor_is_met_exactly(below):
+    # every translate of A is the same set of 5 - below elements, so each A + B has that size
+    g = SimpleNamespace(n=9, name="fake9", translate=lambda a, x: _first_bits(5 - below))
+    report = verify_L2_5(g, "v")
+    assert report.cases_checked == 126 * 502  # C(9, 4) sets A, every B of size >= 2
+    assert len(report.failures) == (report.cases_checked if below else 0)
 
 
 def test_l25_zero_sum_free_example():
