@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .groups import (
     GroupTable,
     is_nilpotent,
-    load_cayley,
     make_group,
     smallest_prime_divisor,
     subgroups_of_index,
 )
 
-# name -> constructor descriptor (or a file: reference into the package data)
+# name -> constructor descriptor
 CATALOG_DESCRIPTORS: tuple[tuple[str, str], ...] = (
     ("Z4", "cyclic(4)"),
     ("Z6", "cyclic(6)"),
@@ -30,7 +28,7 @@ CATALOG_DESCRIPTORS: tuple[tuple[str, str], ...] = (
     ("D6", "dihedral(6)"),
     ("Dic3", "dicyclic(3)"),
     ("Z2xD3", "direct_product(cyclic(2),dihedral(3))"),
-    ("A4", "file:a4.cayley"),
+    ("A4", "alternating(4)"),
     ("D7", "dihedral(7)"),
     ("Z15", "cyclic(15)"),
     ("D8", "dihedral(8)"),
@@ -65,22 +63,7 @@ class CatalogEntry:
     smallest_prime: int
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "descriptor": self.descriptor,
-            "order": self.order,
-            "abelian": self.abelian,
-            "nilpotent": self.nilpotent,
-            "has_index2_subgroup": self.has_index2_subgroup,
-            "smallest_prime": self.smallest_prime,
-        }
-
-
-def _build(descriptor: str) -> GroupTable:
-    if descriptor.startswith("file:"):
-        text = resources.files("critnum").joinpath("data", descriptor[5:]).read_text()
-        return load_cayley(text)
-    return make_group(descriptor)
+        return asdict(self)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +71,7 @@ def catalog_group(name: str) -> GroupTable:
     """The catalog group with the given name (tables are built once and cached)."""
     for entry_name, descriptor in CATALOG_DESCRIPTORS:
         if entry_name == name:
-            return _build(descriptor)
+            return make_group(descriptor)
     raise KeyError(f"unknown catalog group {name!r}")
 
 
@@ -118,7 +101,7 @@ def resolve_group(name_or_descriptor: str) -> GroupTable:
     except KeyError:
         pass
     try:
-        return _build(name_or_descriptor)
+        return make_group(name_or_descriptor)
     except ValueError:
         raise KeyError(
             f"{name_or_descriptor!r} is neither a catalog group nor a valid descriptor"

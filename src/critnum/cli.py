@@ -61,15 +61,7 @@ def _positive_int(text: str) -> int:
 
 
 def _group_summary(g) -> dict:
-    flags = cat.compute_flags(g)
-    return {
-        "name": g.name,
-        "order": g.n,
-        "abelian": flags["abelian"],
-        "nilpotent": flags["nilpotent"],
-        "has_index2_subgroup": flags["has_index2_subgroup"],
-        "smallest_prime": flags["smallest_prime"],
-    }
+    return {"name": g.name, "order": g.n, **cat.compute_flags(g)}
 
 
 def _build_parser() -> argparse.ArgumentParser:

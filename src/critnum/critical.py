@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .groups import (
@@ -60,20 +60,7 @@ class CrCertificate:
                 raise ValueError("exhaustive certificate must have tight bounds")
 
     def to_json(self) -> dict:
-        return {
-            "group_name": self.group_name,
-            "n": self.n,
-            "method": self.method,
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "theorem_tag": self.theorem_tag,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "subsets_checked": self.subsets_checked,
-            "elapsed_ms": self.elapsed_ms,
-            "nonbases_found": self.nonbases_found,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -6,7 +6,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations, permutations, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class GroupValidationError(ValueError):
@@ -305,44 +306,56 @@ def _validated_table(
 # constructors
 
 
+def _table(
+    elements: Iterable,
+    mul: Callable,
+    name: str,
+    label: Callable[..., str] = str,
+) -> GroupTable:
+    """Tabulate `mul` on `elements`, numbered in the order given (identity first)."""
+    elements = list(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    rows = [[index[mul(x, y)] for y in elements] for x in elements]
+    return _validated_table(rows, [label(x) for x in elements], name)
+
+
+def _tuple_label(x: tuple) -> str:
+    return "(" + ",".join(map(str, x)) + ")"
+
+
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _validated_table(rows, None, f"Z{n}")
+    return _table(range(n), lambda i, j: (i + j) % n, f"Z{n}")
+
+
+def _cyclic_by_two(k: int, c: int, name: str, rot: str, flip: str) -> GroupTable:
+    """Z_k = <r> and a coset s<r>, s r s^-1 = r^-1 and s^2 = r^c: r^i s^a as (i, a).
+
+    (i, a)(j, b) = (i +- j + c*a*b, a xor b), minus when a = 1; rotations
+    come first, then the coset.
+    """
+    elements = [(i, a) for a in (0, 1) for i in range(k)]
+
+    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        (i, a), (j, b) = x, y
+        return ((i - j if a else i + j) + c * a * b) % k, a ^ b
+
+    return _table(elements, mul, name, lambda x: f"{rot}{x[0]}{flip * x[1]}")
 
 
 def dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m: rotations r^i and reflections r^i s."""
     if m < 1:
         raise ValueError(f"dihedral parameter must be positive, got {m}")
-    n = 2 * m
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            rows[i][j] = (i + j) % m
-            rows[i][m + j] = m + (i + j) % m
-            rows[m + i][j] = m + (i - j) % m
-            rows[m + i][m + j] = (i - j) % m
-    labels = [f"r{i}" for i in range(m)] + [f"r{i}s" for i in range(m)]
-    return _validated_table(rows, labels, f"D{m}")
+    return _cyclic_by_two(m, 0, f"D{m}", "r", "s")
 
 
 def dicyclic(m: int) -> GroupTable:
     """Dicyclic group of order 4m: <a, b | a^(2m) = 1, b^2 = a^m, bab^-1 = a^-1>."""
     if m < 1:
         raise ValueError(f"dicyclic parameter must be positive, got {m}")
-    n = 4 * m
-    mm = 2 * m
-    rows = [[0] * n for _ in range(n)]
-    for i in range(mm):
-        for j in range(mm):
-            rows[i][j] = (i + j) % mm
-            rows[i][mm + j] = mm + (i + j) % mm
-            rows[mm + i][j] = mm + (i - j) % mm
-            rows[mm + i][mm + j] = (i - j + m) % mm
-    labels = [f"a{i}" for i in range(mm)] + [f"a{i}b" for i in range(mm)]
-    return _validated_table(rows, labels, f"Dic{m}")
+    return _cyclic_by_two(2 * m, m, f"Dic{m}", "a", "b")
 
 
 def semidirect_cyclic(a: int, b: int, k: int) -> GroupTable:
@@ -353,17 +366,13 @@ def semidirect_cyclic(a: int, b: int, k: int) -> GroupTable:
         raise ValueError(f"action multiplier k={k} is not invertible mod {a}")
     if pow(k, b, a) != 1 % a:
         raise ValueError(f"k^b = {k}^{b} is not 1 mod {a}: the action has wrong order")
-    n = a * b
-    rows = [[0] * n for _ in range(n)]
-    for x1 in range(a):
-        for y1 in range(b):
-            i = x1 * b + y1
-            act = pow(k, y1, a)
-            for x2 in range(a):
-                for y2 in range(b):
-                    rows[i][x2 * b + y2] = ((x1 + act * x2) % a) * b + (y1 + y2) % b
-    labels = [f"({x},{y})" for x in range(a) for y in range(b)]
-    return _validated_table(rows, labels, f"Z{a}:Z{b}(k={k})")
+    act = [pow(k, y, a) for y in range(b)]
+    return _table(
+        product(range(a), range(b)),
+        lambda u, v: ((u[0] + act[u[1]] * v[0]) % a, (u[1] + v[1]) % b),
+        f"Z{a}:Z{b}(k={k})",
+        _tuple_label,
+    )
 
 
 def heisenberg(p: int) -> GroupTable:
@@ -374,41 +383,34 @@ def heisenberg(p: int) -> GroupTable:
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"heisenberg requires an odd prime, got {p}")
-    n = p * p * p
+    return _table(
+        product(range(p), repeat=3),
+        lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p, (u[2] + v[2] + u[0] * v[1]) % p),
+        f"H{p ** 3}",
+        _tuple_label,
+    )
 
-    def idx(x: int, y: int, z: int) -> int:
-        return (x % p) * p * p + (y % p) * p + (z % p)
 
-    rows = [[0] * n for _ in range(n)]
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                i = idx(a1, b1, c1)
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            rows[i][idx(a2, b2, c2)] = idx(a1 + a2, b1 + b2, c1 + c2 + a1 * b2)
-    labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
-    return _validated_table(rows, labels, f"H{n}")
+def alternating(n: int) -> GroupTable:
+    """Even permutations of range(n) in lexicographic order, with (x*y)[i] = x[y[i]]."""
+    if n < 1:
+        raise ValueError(f"alternating group degree must be positive, got {n}")
+    return _table(
+        (x for x in permutations(range(n)) if sum(a > b for a, b in combinations(x, 2)) % 2 == 0),
+        lambda x, y: tuple(x[i] for i in y),
+        f"A{n}",
+        lambda x: "".join(map(str, x)),
+    )
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product with element (x, y) at index x*|H| + y."""
-    n = g.n * h.n
-    rows = [[0] * n for _ in range(n)]
-    for x1 in range(g.n):
-        for y1 in range(h.n):
-            i = x1 * h.n + y1
-            gr = g.op[x1]
-            hr = h.op[y1]
-            for x2 in range(g.n):
-                base = gr[x2] * h.n
-                row2 = rows[i]
-                off = x2 * h.n
-                for y2 in range(h.n):
-                    row2[off + y2] = base + hr[y2]
-    labels = [f"({g.labels[x]},{h.labels[y]})" for x in range(g.n) for y in range(h.n)]
-    return _validated_table(rows, labels, f"{g.name}x{h.name}")
+    return _table(
+        product(range(g.n), range(h.n)),
+        lambda u, v: (g.op[u[0]][v[0]], h.op[u[1]][v[1]]),
+        f"{g.name}x{h.name}",
+        lambda u: f"({g.labels[u[0]]},{h.labels[u[1]]})",
+    )
 
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
@@ -437,7 +439,8 @@ def make_group(descriptor: str) -> GroupTable:
     """Build a group from a constructor descriptor such as "dihedral(3)".
 
     Supported: cyclic(n), dihedral(m), dicyclic(m), semidirect_cyclic(a,b,k),
-    heisenberg(p), direct_product(desc,desc) with nesting allowed.
+    heisenberg(p), alternating(n), direct_product(desc,desc) with nesting
+    allowed.
     """
     m = _DESCRIPTOR_RE.match(descriptor)
     if not m:
@@ -458,6 +461,7 @@ def make_group(descriptor: str) -> GroupTable:
         "dicyclic": (dicyclic, 1),
         "semidirect_cyclic": (semidirect_cyclic, 3),
         "heisenberg": (heisenberg, 1),
+        "alternating": (alternating, 1),
     }
     if kind not in simple:
         raise ValueError(f"unknown group constructor {kind!r}")
@@ -617,10 +621,12 @@ def quotient(g: GroupTable, k: SubgroupInfo) -> tuple[GroupTable, tuple[int, ...
         for h in range(n):
             if kmask >> h & 1:
                 coset_of[op[x][h]] = idx
-    q = len(reps)
-    rows = [[coset_of[op[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    labels = [f"{g.labels[r]}+K" for r in reps]
-    qt = _validated_table(rows, labels, f"{g.name}/K{q}")
+    qt = _table(
+        reps,
+        lambda x, y: reps[coset_of[op[x][y]]],
+        f"{g.name}/K{len(reps)}",
+        lambda x: f"{g.labels[x]}+K",
+    )
     proj = tuple(coset_of)
     for a in range(n):
         row = op[a]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -53,19 +53,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "group_name": self.group_name,
-            "mode": self.mode,
-            "cases_checked": self.cases_checked,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "seed": self.seed,
-            "trials": self.trials,
-            "elapsed_ms": self.elapsed_ms,
-            "complete": self.complete,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _pick_mode(mode: Optional[str], g: GroupTable, exhaustive_cap: int) -> str:

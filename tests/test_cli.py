@@ -173,6 +173,13 @@ def test_unknown_group_usage_error(capsys):
     assert "usage" in err
 
 
+def test_file_descriptor_is_not_a_group(capsys):
+    # groups come only from the catalog and the constructor descriptors
+    code, out, err = run(capsys, "cr", "exact", "--group", "file:a4.cayley")
+    assert code == 2 and out == ""
+    assert "neither a catalog group nor a valid descriptor" in err
+
+
 def test_unknown_lemma_usage_error(capsys):
     code, _, err = run(capsys, "verify", "L9.9", "--group", "Z9")
     assert code == 2

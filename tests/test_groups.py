@@ -1,16 +1,19 @@
 """Group construction, validation, and subgroup machinery."""
 
+import hashlib
+import math
 import random
 from itertools import combinations, product
 
 import pytest
 
-from critnum.catalog import CATALOG_DESCRIPTORS, catalog_group
+from critnum.catalog import CATALOG_DESCRIPTORS, catalog_group, resolve_group
 from critnum.groups import (
     CHUNK_BITS,
     ElementSet,
     GroupValidationError,
     _all_subgroup_masks,
+    alternating,
     center,
     chunked_translation_tables,
     cyclic,
@@ -109,6 +112,97 @@ def test_make_group_descriptors():
         make_group("frobnicate(3)")
     with pytest.raises(ValueError):
         make_group("cyclic(x)")
+
+
+# SHA-256 of `save_cayley`: every witness, count and cached record is in
+# element indices, so each constructor's numbering must never move
+TABLE_SHA256 = {
+    "Z4": "393c40fcb015b35ffadc1121564da7cc23df7b96289331c1a44231dde3fc8a09",
+    "Z6": "07da674643299c01bea67c2e76605ebc2cc2de71463ed97ade3a599e40cf8384",
+    "D3": "3a797f126f5505fefc69c2306b38f7aefc0c1b92fbb6be7724b1cd40aae18a5a",
+    "Z8": "dede8d96d970abdbd27e1c05bcb5033e7b55740df88ca56fb70778249a0a2f90",
+    "D4": "964d604c112f229e4c68360d347b66d5b05983c821d0a890cd994ce894943fb9",
+    "Dic2": "5ba130938d95232f1fdf69b3dfb0ee222111aa010c42118de91805ebba577e01",
+    "Z9": "616d2e4cb9f5483755ca257119a501671730fa4616c11d86a78ec7e8623230fa",
+    "Z3xZ3": "71bed087fa8cf58bda2001320a8d5f8f746c591256dc57ae06783ee0e827d74e",
+    "Z10": "284148051fb8aa85ff8c17df8634883b54a066af086e8aabb52037196fa31f28",
+    "D5": "51a22d0881875b3de1c606ad70c0b520783960865c327e6546f908c80178ebe6",
+    "D6": "9cc21e131f365854b9f9359d2d27b6118b5fd772c41258c64d0befba7d7d9bf0",
+    "Dic3": "f956417938910b1102b31ca604ed995b93df6c4beb2cac8cf3a8e3342619a54e",
+    "Z2xD3": "7447a0f5ffdf757f524c4ed11d76a5dc873eddde63ff3a12c7a3ad4b82fe43ce",
+    "A4": "b2d2316d43b30c26ddad835c3ab21fbb86809d9b34ffd166335935b85f9ee26d",
+    "D7": "d55c18619235cbd802619e8cbafa5ce266f8a6ca9f152cef50ec38c4be5188ff",
+    "Z15": "eaa5712e67c6c1c944f3a7a24450126cc2fae12cc7be438b755c16cc85a82d35",
+    "D8": "2c29df8245bc7d5bb886d5f5121695106d426d55c2de6fd5b04993323cb00347",
+    "Dic4": "5a7a2ffc02484bf38746acec18963ed17961f1a7423c2664d4511bf23b6e815b",
+    "Z2xD4": "116ae388c872a3a09ff09c773cd454a6e475ea69f9686019dd9f9dcf34d9c8fa",
+    "SD16": "a05b25f3b9f323b995fe2ce10974643a158a6e33ac3ce7c51b929fc4781c9865",
+    "M16": "5ed50dfb161b98c70cd92b521035e09230b46b7736e7c7024fcd0af65f95b5eb",
+    "Z21": "3c66316a7405578f22173c36dc29f22961dc2720ccad5584734da27810db2921",
+    "Z7:Z3": "bff0551c0519d9a4ca647d8f1130983a2f802cb301575eabf988f609c70eeb0a",
+    "Z25": "86f2ca41501abfb34cfcd7be34b2abb68a0a7ba8f0cb04fac945bf6bcba9bda4",
+    "Z27": "a3b253edc3a7f65ee4e183122f70bd61e8579ba031277f96ce1150d7c56f81c3",
+    "Z9xZ3": "d69fa87449d2cdcb8c0151984ad76c3d2c1e1679a55cf60ff818596a7fe5c048",
+    "Z3xZ3xZ3": "9b4a12cf26f43365b67d6d39513bea460091b97be8f96efdaea4b1143b6c2112",
+    "H27": "17e9c0ce18e80ff12f7d84629cea47980825aa211e1f8dd9c55d1c88cd1968e4",
+    "Z9:Z3": "cc1d587e826968513075a645c37faad71e1d7a4a5aa81c7e9620d47bc2690bb3",
+    "Z45": "df719ecd72b4ae295c99a584d7c1b83634fc8430286e695a43bb4c30bad29f6c",
+    # the groups of the slow exact-cr pins
+    "cyclic(39)": "31616d7661ba1cd0ed56df40faafae33a52d627cc6333a53e1dfd9fac6e0f226",
+    "cyclic(49)": "fb8cc65362f7e36fdea65754c5f8dc5172283e4156de1c9e77a0e5dacee2ac16",
+    "direct_product(cyclic(7),cyclic(7))":
+        "55877c9e3c82583106d6f4652ba5fa29e21019f9c8bb58e4bc611973ab0135b2",
+    "dihedral(26)": "064f68dfc6fe19065cfc383c73432c1a60649b6cec99e3a51819d6c4b74d1fa5",
+    "dicyclic(13)": "62b8716d6bef5cad68b9c2f93e34fa6ee300784358d0610d3c64688770b11b5a",
+    "semidirect_cyclic(13,3,3)":
+        "5e0e81feb0256043f638c2eeefd4f504e69a64a1c0e3bebe0f8ef003d5941117",
+}
+
+
+def test_table_pins_cover_the_catalog():
+    assert {name for name, _ in CATALOG_DESCRIPTORS} <= set(TABLE_SHA256)
+
+
+@pytest.mark.parametrize("group", list(TABLE_SHA256))
+def test_table_numbering_is_pinned(group):
+    text = save_cayley(resolve_group(group))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[group]
+
+
+A4_CAYLEY = """\
+# name: A4
+12
+labels: 0123 0231 0312 1032 1203 1320 2013 2130 2301 3021 3102 3210
+0 1 2 3 4 5 6 7 8 9 10 11
+1 2 0 6 8 7 9 11 10 3 4 5
+2 0 1 9 10 11 3 5 4 6 8 7
+3 5 4 0 2 1 10 9 11 7 6 8
+4 3 5 7 6 8 0 1 2 10 11 9
+5 4 3 10 11 9 7 8 6 0 2 1
+6 7 8 1 0 2 4 3 5 11 9 10
+7 8 6 4 5 3 11 10 9 1 0 2
+8 6 7 11 9 10 1 2 0 4 5 3
+9 11 10 2 1 0 8 6 7 5 3 4
+10 9 11 5 3 4 2 0 1 8 7 6
+11 10 9 8 7 6 5 4 3 2 1 0
+"""
+
+
+def test_alternating4_is_the_a4_table():
+    assert save_cayley(alternating(4)) == A4_CAYLEY
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_alternating_order(n):
+    g = alternating(n)
+    assert g.n == max(1, math.factorial(n) // 2)
+    assert_group_axioms(g)
+    assert g.is_abelian == (n <= 3)
+
+
+def test_alternating_rejects_degree_zero():
+    with pytest.raises(ValueError, match="degree"):
+        make_group("alternating(0)")
 
 
 def test_associativity_exhaustive_spot():

@@ -107,6 +107,20 @@ def test_l22_negative_probe_below_threshold():
     assert len(witness) == 3 + 5 - 2
 
 
+@pytest.mark.parametrize("short,failures", [(False, 0), (True, 2)])
+def test_l22_sampled_check_sits_at_the_basis_size(monkeypatch, short, failures):
+    # judged one element short, a draw of p + q - 1 elements can fail: the
+    # sampled check is a cover test of exactly the drawn set
+    g = cyclic(15)
+    if short:
+        real = verifiers.covers_group
+        monkeypatch.setattr(verifiers, "covers_group", lambda g, comb: real(g, comb[:-1]))
+    report = verify_L2_2(g, mode="sampled", trials=300, seed=1)
+    assert (report.cases_checked, len(report.failures)) == (300, failures)
+    for failure in report.failures:
+        assert exact_reach_mask(g, failure["set"][:6]) != g.full_mask
+
+
 def test_l23_restricted_exhaustive():
     report = verify_L2_3(cyclic(9), max_set_size=3, max_b_size=4)
     assert report.failures == []
