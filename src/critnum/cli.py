@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -64,7 +65,9 @@ def _group_summary(g) -> dict:
     return {"name": g.name, "order": g.n, **cat.compute_flags(g)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="critnum",
         description="Subset-sum closures and critical numbers of small finite groups.",
@@ -123,8 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_cr(args) -> dict:
-    g = cat.resolve_group(args.group)
+def _run_cr(args, g) -> dict:
     if args.method == "exact":
         cert = cr_exhaustive(g, budget=args.budget)
     elif args.method == "formula":
@@ -141,8 +143,7 @@ def _run_cr(args) -> dict:
     return cert.to_json()
 
 
-def _run_verify(args) -> list[dict]:
-    g = None if args.group is None else cat.resolve_group(args.group)
+def _run_verify(args, g) -> list[dict]:
     reports = ver.run(
         args.lemma_id, g, mode=args.mode, trials=args.trials, seed=args.seed, budget=args.budget
     )
@@ -154,7 +155,9 @@ def _cached(
 ) -> dict:
     """The cached record for this command; on a miss, `run()` under the cache lock, stored.
 
-    The key is the command's arguments plus `ENGINE_VERSION`.
+    The key is the command's arguments plus `ENGINE_VERSION`.  Taking the
+    lock creates the store, so the caller resolves the group first: a
+    command that cannot run leaves no file behind.
     """
     if args.no_cache:
         return run()
@@ -228,12 +231,13 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "cr":
+            g = cat.resolve_group(args.group)
             record = _cached(
                 args,
                 f"cr {args.method}",
                 args.group,
                 ["group", "method", "budget", "t", "trials", "seed"],
-                lambda: _run_cr(args),
+                lambda: _run_cr(args, g),
             )
             _print_json(record, args.pretty)
             lower = record.get("lower_bound")
@@ -245,12 +249,13 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "verify":
+            g = None if args.group is None else cat.resolve_group(args.group)
             reports = _cached(
                 args,
                 f"verify {args.lemma_id}",
                 args.group or "*",
                 ["group", "lemma_id", "mode", "trials", "seed", "budget"],
-                lambda: {"reports": _run_verify(args)},
+                lambda: {"reports": _run_verify(args, g)},
             )["reports"]
             for report in reports:
                 _print_json(report, args.pretty)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -190,22 +191,17 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
     The witness takes every non-identity element of the subgroup plus p - 2
     elements of one generating coset: its closure provably misses the inverse
     coset, which is re-verified here by the subset sums of its image in the
-    quotient by the subgroup.  With k omitted, all normal subgroups of index
-    p (p the smallest prime divisor) are tried and the best bound kept.
+    quotient by the subgroup.  With k omitted, the first normal subgroup of
+    index p (p the smallest prime divisor) in `subgroups_of_index` order is
+    used: every such subgroup has n/p elements, so all give the same bound.
     """
     if k is not None:
         return _witness_for_subgroup(g, k)
     p = smallest_prime_divisor(g.n)
-    candidates = [s for s in subgroups_of_index(g, p) if s.is_normal]
-    if not candidates:
+    sub = next((s for s in subgroups_of_index(g, p) if s.is_normal), None)
+    if sub is None:
         raise ValueError(f"{g.name} has no normal subgroup of index {p}")
-    best: Optional[CrCertificate] = None
-    for sub in candidates:
-        cert = _witness_for_subgroup(g, sub)
-        if best is None or cert.lower_bound > best.lower_bound:
-            best = cert
-    assert best is not None
-    return best
+    return _witness_for_subgroup(g, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +212,10 @@ _SCAN: dict = {}
 
 # deepest frame whose children are tested for a canonical prefix (a frame
 # at depth d tests prefixes of d + 1 positions); on the five order-27 scans
-# at t = 10, depths 0, 2, 3 and 4 evaluate 183,773, 114,021, 101,519 and
-# 94,673 children.  Depth 3 also runs faster than depth 2 (see README.md),
-# and at depth 4 the tests cost more than they save
+# at t = 10, depths 0 to 4 evaluate 151,353, 100,540, 54,510, 32,567 and
+# 21,528 children.  Depth 4 makes a repeated scan faster, but the first
+# scan of a table tests so many more prefixes that it runs slower than at
+# depth 3 (see README.md)
 _CANON_DEPTH = 3
 
 
@@ -227,58 +224,243 @@ def _scan_escalate(members: tuple[int, ...]) -> bool:
     return covers_group(_SCAN["g"], members)
 
 
-# a map of scan positions, the bit-set of positions it moves lower, and
-# `below`, where below[b] is the bit-set of positions it sends below b
-_PositionMap = tuple[tuple[int, ...], int, list[int]]
+# the most maps the canonical-prefix skip tests, the identity included.
+# The automorphisms, alone and followed by inversion, are closed under
+# composition up to this many, so a group with a huge Aut(G) stays cheap:
+# Z2^5 has 9,999,360 automorphisms and Z3xZ3xZ3 11,232, and 2,048 of the
+# latter evaluate as few order-27 children as 4,096 do
+_MAP_LIMIT = 2048
 
 
-def _symmetry_masks(g: GroupTable) -> list[_PositionMap]:
-    """Each symmetry but the identity as a map of scan positions, with its bit-sets.
+def _pad(phi: bytes) -> bytes:
+    """A map of at most 256 points as a `bytes.translate` table."""
+    return phi + bytes(256 - len(phi))
 
-    Position q goes to the position of the image of the element at q, so
-    `order[perm[q]] == phi[order[q]]` for `order = g.scan_order`.
+
+def _span(op: Sequence[Sequence[int]], gens: Sequence[int]) -> list[int]:
+    """The elements of the subgroup generated by `gens`, in breadth-first order from 0.
+
+    Read off the table, like the rest of the automorphism search, so that
+    building the skip maps makes no `translate` call.
     """
-    order = g.scan_order
-    pos = {a: p for p, a in enumerate(order)}
-    out = []
-    for phi in g.symmetries[1:]:
-        perm = tuple(pos[phi[a]] for a in order)
-        below = [0]
-        # positions by their images, ascending: the preimage of 0, 1, ...
-        for q in sorted(range(g.n), key=perm.__getitem__):
-            below.append(below[-1] | 1 << q)
-        lower = sum(1 << q for q, v in enumerate(perm) if v < q)
-        out.append((perm, lower, below))
-    return out
+    members = [0]
+    seen = 1
+    for x in members:
+        row = op[x]
+        for s in gens:
+            y = row[s]
+            if not seen >> y & 1:
+                seen |= 1 << y
+                members.append(y)
+    return members
 
 
-def _noncanonical_children(syms: list[_PositionMap], prefix: Sequence[int]) -> int:
-    """Positions q after a canonical prefix that a symmetry maps the prefix plus q earlier.
+def _generating_sequence(g: GroupTable, orders: Sequence[int]) -> list[int]:
+    """Elements that generate G, highest order first, none generated by the others."""
+    gens: list[int] = []
+    seen = 1
+    for x in sorted(range(1, g.n), key=lambda x: (-orders[x], x)):
+        if not seen >> x & 1:
+            gens.append(x)
+            seen = sum(1 << y for y in _span(g.op, gens))
+    for s in list(gens):
+        rest = [t for t in gens if t != s]
+        if len(_span(g.op, rest)) == g.n:
+            gens = rest
+    return gens
+
+
+def _homomorphism(
+    g: GroupTable, gens: Sequence[int], images: Sequence[int]
+) -> Optional[list[int]]:
+    """The one-to-one map with gens[i] -> images[i] and phi(x + s) = phi(x) + phi(s), or None.
+
+    It is built outward from 0 and checked on every edge x -> x + s of the
+    subgroup the generators s span, which makes it a homomorphism there.
+    """
+    op = g.op
+    phi = [-1] * g.n
+    phi[0] = 0
+    used = 1
+    queue = [0]
+    pairs = tuple(zip(gens, images))
+    for x in queue:
+        row, image_row = op[x], op[phi[x]]
+        for s, t in pairs:
+            y, want = row[s], image_row[t]
+            if phi[y] < 0:
+                if used >> want & 1:
+                    return None
+                phi[y] = want
+                used |= 1 << want
+                queue.append(y)
+            elif phi[y] != want:
+                return None
+    return phi
+
+
+def _automorphisms(g: GroupTable) -> list[bytes]:
+    """Aut(G) as element maps, closed up to `_MAP_LIMIT` maps; the automorphic symmetries first.
+
+    An automorphism is fixed by its images of a generating sequence.  The
+    search picks images of the same element order one generator at a time
+    and goes on only while they extend to a one-to-one homomorphism of the
+    subgroup spanned so far.  A full choice that some map of the group
+    already makes is passed over by one set lookup; any other found
+    automorphism joins the generators, and the group grows by whole cosets
+    (Dimino's algorithm).  Search and growth stop at the limit.
+    """
+    n, op = g.n, g.op
+    orders = [0] * n
+    for x in range(n):
+        orders[x] = len(_span(op, (x,)))
+    gens = _generating_sequence(g, orders)
+    if g.is_abelian:
+        group = [bytes(phi) for phi in g.symmetries]
+    else:
+        # each symmetry is an automorphism or an anti-automorphism, and on
+        # a pair that does not commute only an automorphism keeps the order
+        a, b = next((a, b) for a in range(n) for b in range(a) if op[a][b] != op[b][a])
+        group = [bytes(phi) for phi in g.symmetries if phi[op[a][b]] == op[phi[a]][phi[b]]]
+    # growing by cosets needs generators of the group so far: at first, all of it
+    generators = list(group)
+    known = set(group)
+    made = {bytes(phi[s] for s in gens) for phi in group}
+    candidates = [[y for y in range(1, n) if orders[y] == orders[s]] for s in gens]
+    images: list[int] = []
+    choices = [iter(candidates[0])] if gens else []
+    while choices and len(group) < _MAP_LIMIT:
+        y = next(choices[-1], None)
+        if y is None:
+            choices.pop()
+            continue
+        i = len(choices)
+        del images[i - 1 :]
+        images.append(y)
+        if i < len(gens):
+            if _homomorphism(g, gens[:i], images) is not None:
+                choices.append(iter(candidates[i]))
+            continue
+        phi = None if bytes(images) in made else _homomorphism(g, gens, images)
+        if phi is None:
+            continue
+        # a new generator: add the left cosets x.H of the group H so far
+        base = list(group)
+        generators.append(bytes(phi))
+        reps = [bytes(range(n))]
+        for r in reps:
+            for s in generators:
+                x = r.translate(_pad(s))
+                if x not in known and len(group) < _MAP_LIMIT:
+                    table = _pad(x)
+                    coset = [h.translate(table) for h in base]
+                    known.update(coset)
+                    made.update(bytes(c[t] for t in gens) for c in coset)
+                    group.extend(coset)
+                    reps.append(x)
+    return group[:_MAP_LIMIT]
+
+
+def _skip_maps(g: GroupTable) -> list[bytes]:
+    """The maps the canonical-prefix skip tests, as maps of scan positions; identity excluded.
+
+    They are the symmetries, then the automorphisms and the automorphisms
+    followed by inversion, each once, at most `_MAP_LIMIT` in all: every
+    such map sends bases to bases.  Position q goes to the position of the
+    image of the element at q, so `order[perm[q]] == phi[order[q]]` for
+    `order = g.scan_order`.  Positions fit in a byte up to order 256;
+    above it no map is tested.
+    """
+    n, order = g.n, g.scan_order
+    if n > 256:
+        return []
+    pos = [0] * n
+    for p, a in enumerate(order):
+        pos[a] = p
+    autos = _automorphisms(g)
+    inversion = _pad(bytes(g.inv))
+    maps = dict.fromkeys(map(bytes, g.symmetries))
+    maps.update(dict.fromkeys(autos))
+    maps.update(dict.fromkeys(phi.translate(inversion) for phi in autos))
+    elements, positions = bytes(order), _pad(bytes(pos))
+    return [
+        elements.translate(_pad(phi)).translate(positions)
+        for phi in list(maps)[1:_MAP_LIMIT]
+    ]
+
+
+# the skip maps of each table and the skip bit-set of each canonical prefix
+# met so far, kept for the table's lifetime and keyed by its identity:
+# equal tables built apart are kept apart, and hashing a table would read
+# all of it
+_SKIPS: dict[int, tuple[list, dict[tuple[int, ...], int]]] = {}
+
+
+def _skips(g: GroupTable) -> tuple[list, dict[tuple[int, ...], int]]:
+    """The table's skip maps and its memo of prefix skips, built on first use."""
+    key = id(g)
+    entry = _SKIPS.get(key)
+    if entry is None:
+        entry = _SKIPS[key] = (_skip_maps(g), {})
+        weakref.finalize(g, _SKIPS.pop, key, None)
+    return entry
+
+
+def _noncanonical_children(maps: list[bytes], prefix: Sequence[int]) -> int:
+    """Positions q after a canonical prefix that some map sends, with the prefix, earlier.
 
     Sets of positions of one size follow scan order by the lowest position
-    at which they differ: the set holding it comes first.  The prefix is
-    canonical (no symmetry maps it earlier), so for a map that moves it,
-    the lowest such position m is in the prefix, and the prefix plus q goes
+    at which they differ: the set holding it comes first.  A map that fixes
+    the prefix as a set moves the prefix plus q earlier exactly when it
+    moves q lower; every map fixes the empty prefix.  The prefix is
+    canonical (no map sends it earlier), so for a map that moves it, the
+    lowest such position m is in the prefix, and the prefix plus q goes
     earlier exactly when q is sent below m, or onto m and the rest decides.
-    A map that fixes the prefix as a set moves the prefix plus q earlier
-    exactly when it moves q lower.  Returns a bit-set of positions.
+    Returns a bit-set of positions.
     """
+    if not maps:
+        return 0
+    n = len(maps[0])
+    # the images of position q under every map are the bytes joined[q::n]
+    joined = b"".join(maps)
+
+    def sent_below(q: int, bound: int) -> bool:
+        return any(v in joined[q::n] for v in range(1, bound))
+
+    if not prefix:
+        return sum(1 << q for q in range(1, n) if sent_below(q, q))
     held = 0
+    images = [0] * len(maps)
     for p in prefix:
         held |= 1 << p
-    skip = 0
-    for perm, lower, below in syms:
-        image = 0
-        for p in prefix:
-            image |= 1 << perm[p]
+        images = [x | 1 << v for x, v in zip(images, joined[p::n])]
+    first, head = prefix[-1] + 1, prefix[0]
+    # every q that some map sends below the head is skipped: for each map,
+    # m is the head or above, or the map fixes the prefix
+    skip = sum(1 << q for q in range(first, n) if sent_below(q, head))
+    rest = held ^ 1 << head
+    for perm, image in zip(maps, images):
+        if not image >> head & 1:
+            # m is the head, sent onto by q alone; both sets then hold the
+            # head, and the rest of the prefix against its image decides
+            diff = image ^ rest
+            low = diff & -diff
+            if low & image:
+                q = 1 << perm.index(head)
+                if low < q:
+                    skip |= q
+            continue
         diff = image ^ held
         if not diff:
-            skip |= lower
+            for q in range(first, n):
+                if perm[q] < q:
+                    skip |= 1 << q
             continue
         m = (diff & -diff).bit_length() - 1
-        skip |= below[m]
-        # the one child sent onto m, as a bit
-        q = below[m + 1] ^ below[m]
+        # the preimages of the positions from the head to m, then of m
+        for v in range(head + 1, m):
+            skip |= 1 << perm.index(v)
+        q = 1 << perm.index(m)
         moved = image | 1 << m
         diff = moved ^ (held | q)
         if diff & -diff & moved:
@@ -313,14 +495,16 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     those completions and is counted like a full prefix.  The memo restarts
     whenever the first position advances, which bounds its size.
 
-    A prefix of at most `_CANON_DEPTH` + 1 positions that a symmetry maps
+    A prefix of at most `_CANON_DEPTH` + 1 positions that a skip map (an
+    automorphism, alone or followed by inversion; see `_skip_maps`) sends
     to an earlier set of positions has its subtree counted without being
     visited: if a set S with that prefix were the first non-basis, its
-    image would be a non-basis earlier in scan order.  At depth 0 these are
-    the first positions that are not the head of their orbit block.  The
-    count and the find are those of the full scan in the same order at
-    every cap.  A skipped subtree was not looked at, so, like a short leaf,
-    it leaves its enclosing frames unsettled.
+    image would be a non-basis earlier in scan order.  The skip bit-set of
+    each canonical prefix is computed once per table and kept (`_skips`),
+    so only the first scan of a table pays for the tests.  The count and
+    the find are those of the full scan in the same order at every cap.  A
+    skipped subtree was not looked at, so, like a short leaf, it leaves its
+    enclosing frames unsettled.
 
     Returns the number of subsets certified or examined and the first
     non-basis in scan order, as a sorted tuple of elements, or None.  A
@@ -339,7 +523,7 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
     last = size - 1
-    syms = _symmetry_masks(g)
+    maps, skips = _skips(g)
     path = [0] * size
     settled: list[dict[int, int]] = [{} for _ in range(size)]
     checked = 0
@@ -349,8 +533,13 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
         nonlocal checked
         memo = settled[d]
         chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
-        # the parent frame tested this prefix, so it is canonical
-        skip = _noncanonical_children(syms, path[:d]) if d <= _CANON_DEPTH else 0
+        skip = 0
+        if d <= _CANON_DEPTH:
+            # the parent frame tested this prefix, so it is canonical
+            prefix = tuple(path[:d])
+            skip = skips.get(prefix)
+            if skip is None:
+                skip = skips[prefix] = _noncanonical_children(maps, prefix)
         clean = True
         for p in range(path[d - 1] + 1 if d else 1, n - last + d):
             if skip >> p & 1:
@@ -392,6 +581,10 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
         frame(0, 0)
     except _ScanEnd as end:
         return end.args
+    finally:
+        # `frame` calls itself, so its closure, memo included, is a cycle
+        # that would wait for the cyclic collector: free it as the scan ends
+        del frame
     return checked, None
 
 
@@ -401,7 +594,11 @@ def find_nonbases(
     """Scan the size-`size` subsets of G\\{0} in scan order for a non-basis.
 
     Scan order is lexicographic in the positions of `g.scan_order`, which
-    lists the orbits under `g.symmetries` as blocks, largest first.
+    lists the orbits under `g.symmetries` as blocks, largest first.  A
+    subtree whose prefix an automorphism or anti-automorphism sends
+    earlier is counted without being visited (see `_scan_task`); the maps
+    and the skip of each prefix are built on the first scan of a table and
+    kept while the table lives.
     Returns (subsets checked, first non-basis or None, complete): the count
     is of subsets in scan order, the non-basis is the first in scan order
     (as a sorted tuple of elements), and complete means every subset was

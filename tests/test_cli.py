@@ -173,6 +173,30 @@ def test_unknown_group_usage_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("cr", "exact", "--group", "NOPE"), ("verify", "L2.5i", "--group", "NOPE")]
+)
+def test_unknown_group_leaves_no_cache_file(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "cache.jsonl").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dispatches_share_one_parser_but_no_values(capsys, tmp_path):
+    # the parser is built once per process; a flag given to one dispatch is
+    # not seen by the next
+    code, pretty, _ = run(capsys, "--pretty", "cr", "formula", "--group", "D7", "--no-cache")
+    assert code == 0 and not pretty.startswith("{")
+    code, plain, _ = run(capsys, "cr", "formula", "--group", "D7")
+    assert code == 0 and json.loads(plain)["value"] == 7
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+    code, _, _ = run(capsys, "cr", "exact", "--group", "Z9", "--budget", "5")
+    assert code == 3
+    code, out, _ = run(capsys, "cr", "exact", "--group", "Z9")
+    assert code == 0 and json.loads(out)["value"] == 5
+
+
 def test_file_descriptor_is_not_a_group(capsys):
     # groups come only from the catalog and the constructor descriptors
     code, out, err = run(capsys, "cr", "exact", "--group", "file:a4.cayley")

@@ -244,6 +244,23 @@ def test_witness_misses_the_whole_inverse_coset(name):
         assert not any(reach >> y & 1 for y in inv_coset), (name, cert.witness)
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog_init()])
+def test_witness_lower_bound_takes_the_first_normal_subgroup(name):
+    # every normal index-p subgroup has n/p elements, so each gives the same
+    # bound, and the certificate is the one from the first of them: the
+    # best of all of them, ties to the first, as when each was tried
+    g = catalog_group(name)
+    p = smallest_prime_divisor(g.n)
+    subs = [s for s in subgroups_of_index(g, p) if s.is_normal]
+    if not subs:
+        return
+    certs = [witness_lower_bound(g, sub) for sub in subs]
+    best = max(certs, key=lambda c: c.lower_bound)
+    assert len({c.lower_bound for c in certs}) == 1
+    got = witness_lower_bound(g)
+    assert {**got.to_json(), "elapsed_ms": 0} == {**best.to_json(), "elapsed_ms": 0}
+
+
 def test_cr_exhaustive_dihedral20_witness_through_quotient():
     # the size-19 witness is checked in G/K, not by a 2^19-state search
     t0 = time.perf_counter()
@@ -347,34 +364,112 @@ def test_undecided_leaf_leaves_cr_exhaustive_partial(monkeypatch):
 
 
 def canonical_prefix(g, positions):
-    """True when no symmetry maps these scan positions to an earlier set of positions."""
-    order = g.scan_order
-    where = {a: p for p, a in enumerate(order)}
+    """True when no skip map sends these scan positions to an earlier set of positions."""
     key = sorted(positions)
-    return all(sorted(where[phi[order[p]]] for p in positions) >= key for phi in g.symmetries)
+    return all(sorted(perm[p] for p in positions) >= key for perm in critical._skips(g)[0])
+
+
+def element_maps(g):
+    """The skip maps of a table as maps of elements: `phi[order[q]] == order[perm[q]]`."""
+    order = g.scan_order
+    out = []
+    for perm in critical._skip_maps(g):
+        phi = [0] * g.n
+        for q, p in enumerate(perm):
+            phi[order[q]] = order[p]
+        out.append(tuple(phi))
+    return out
+
+
+def is_automorphism(g, phi, anti=False):
+    op = g.op
+    for a in range(g.n):
+        row, image = op[a], phi[a]
+        if anti:
+            if any(phi[row[b]] != op[phi[b]][image] for b in range(g.n)):
+                return False
+        elif any(phi[row[b]] != op[image][phi[b]] for b in range(g.n)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog_init()])
 def test_symmetry_masks_are_the_symmetries_as_maps_of_scan_positions(name):
-    # one map per symmetry but the identity; each a permutation of the
-    # positions that fixes 0 and carries the symmetry: the element at
-    # position q goes to the element at position perm[q]
+    # the skip maps open with one map per symmetry but the identity, in the
+    # symmetries' order, and list no map twice; each is a permutation of the
+    # positions that fixes 0 and carries its map of elements: the element
+    # at position q goes to the element at position perm[q]
     g = catalog_group(name)
     order = g.scan_order
-    maps = critical._symmetry_masks(g)
-    assert len(maps) == len(g.symmetries) - 1
-    for (perm, _, _), phi in zip(maps, g.symmetries[1:]):
-        assert sorted(perm) == list(range(g.n))
-        assert perm[0] == 0
+    maps = critical._skip_maps(g)
+    assert len(set(maps)) == len(maps) >= len(g.symmetries) - 1
+    for perm in maps:
+        assert sorted(perm) == list(range(g.n)) and perm[0] == 0
+    for perm, phi in zip(maps, g.symmetries[1:]):
         assert all(order[perm[q]] == phi[order[q]] for q in range(g.n))
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog_init()])
+def test_skip_maps_are_automorphisms_and_anti_automorphisms(name):
+    # on elements, each skip map keeps or reverses every product of the table
+    g = catalog_group(name)
+    for phi in element_maps(g):
+        assert is_automorphism(g, phi) or is_automorphism(g, phi, anti=True)
+
+
+def closed(maps):
+    """True when a set of position maps, the identity added, is closed under composition."""
+    group = set(maps) | {bytes(range(len(maps[0])))}
+    return all({b.translate(a + bytes(256 - len(a))) for b in group} == group for a in group)
+
+
+@pytest.mark.parametrize(
+    "g,size",
+    [
+        (catalog_group("Z9xZ3"), 108),  # |Aut(Z9 x Z3)|; inversion is one of them
+        (catalog_group("Z9:Z3"), 108),  # |Aut(Z9:Z3)| = 54, with and without inversion
+        (catalog_group("H27"), 864),  # |Aut(H27)| = 432, with and without inversion
+        (direct_product(cyclic(7), cyclic(7)), 2016),  # |GL(2, 7)|
+        *((cyclic(n), sum(math.gcd(k, n) == 1 for k in range(n))) for n in (2, 9, 27, 45, 64)),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_skip_maps_below_the_limit_are_the_whole_closed_set(g, size):
+    maps = critical._skip_maps(g)
+    assert len(maps) + 1 == size < critical._MAP_LIMIT
+    assert maps == [] or closed(maps)
+
+
+def test_skip_maps_stop_at_the_limit():
+    # Aut(Z3 x Z3 x Z3) = GL(3, 3) has 11,232 maps and Aut(Z2^5) 9,999,360:
+    # both are cut at the limit, and the cut set still holds the symmetries
+    z2 = cyclic(2)
+    for g in (catalog_group("Z3xZ3xZ3"), direct_product(z2, direct_product(z2, direct_product(z2, direct_product(z2, z2))))):
+        maps = element_maps(g)
+        assert len(maps) + 1 == critical._MAP_LIMIT
+        assert maps[: len(g.symmetries) - 1] == list(g.symmetries[1:])
+        assert all(is_automorphism(g, phi) for phi in maps[:: len(maps) // 40])
+
+
+def test_skips_are_kept_per_table_identity():
+    # an equal table built apart has an entry of its own, and an entry goes
+    # with its table
+    g = catalog_group("Z9")
+    h = catalog_group.__wrapped__("Z9")
+    assert h == g and critical._skips(h) is not critical._skips(g)
+    assert critical._skips(h)[0] == critical._skips(g)[0]
+    key = id(h)
+    del h
+    assert key not in critical._SKIPS
+
+
 def without_symmetries(name, scan_order=None):
-    """A fresh catalog table whose only symmetry is the identity, so nothing is skipped."""
+    """A fresh catalog table with no symmetry and no skip map but the identity, so nothing is skipped."""
     h = catalog_group.__wrapped__(name)
     h.__dict__["symmetries"] = (tuple(range(h.n)),)
     if scan_order is not None:
         h.__dict__["scan_order"] = scan_order
+    critical._skips(h)[0].clear()
     return h
 
 
@@ -394,7 +489,7 @@ def test_single_find_scan_skips_symmetric_first_elements(
     # at t = cr the scan certifies every subset.  In block order it escalates
     # fewer short leaves than in the plain order (a fresh table with no
     # symmetry but the identity, so its orbits are all singletons), and it
-    # does not visit a prefix of up to four positions that a symmetry maps
+    # does not visit a prefix of up to four positions that a skip map sends
     # earlier, so it escalates fewer than the same order unskipped
     g = catalog_group(name)
     plain_order = without_symmetries(name)
@@ -878,12 +973,13 @@ def scan_lookups(name, size):
 def test_order27_scans_evaluate_the_pinned_number_of_children():
     # at t = 10 no leaf is escalated, so every lookup is a child evaluation.
     # Pinned from the scan with canonical prefixes of up to four positions
-    # (183,773 with first positions only, 114,021 with up to three); more
-    # means a weaker skip or memo
-    want = {"Z27": 15204, "Z9xZ3": 26552, "Z3xZ3xZ3": 41014, "H27": 7443, "Z9:Z3": 11306}
+    # under the automorphisms, with and without inversion (101,519 under the
+    # symmetries alone, 114,021 with prefixes of up to three); more means a
+    # weaker skip or memo
+    want = {"Z27": 15204, "Z9xZ3": 6969, "Z3xZ3xZ3": 1471, "H27": 2136, "Z9:Z3": 6787}
     got = {}
     for name in ORDER27:
         got[name], result = scan_lookups(name, 10)
         assert result == (math.comb(26, 10), None, True)
     assert got == want
-    assert sum(got.values()) == 101519
+    assert sum(got.values()) == 32567
