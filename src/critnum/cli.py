@@ -137,17 +137,8 @@ def _run_cr(args, g) -> dict:
     elif args.method == "witness":
         cert = witness_lower_bound(g)
     else:
-        if args.t is None:
-            raise ValueError("cr sample requires --t (the subset size)")
         cert = cr_sampled_upper(g, args.t, args.trials, seed=args.seed)
     return cert.to_json()
-
-
-def _run_verify(args, g) -> list[dict]:
-    reports = ver.run(
-        args.lemma_id, g, mode=args.mode, trials=args.trials, seed=args.seed, budget=args.budget
-    )
-    return [r.to_json() for r in reports]
 
 
 def _cached(
@@ -156,8 +147,8 @@ def _cached(
     """The cached record for this command; on a miss, `run()` under the cache lock, stored.
 
     The key is the command's arguments plus `ENGINE_VERSION`.  Taking the
-    lock creates the store, so the caller resolves the group first: a
-    command that cannot run leaves no file behind.
+    lock creates the store, so the caller resolves the group and checks its
+    flags first: a command that cannot run leaves no file behind.
     """
     if args.no_cache:
         return run()
@@ -232,6 +223,8 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "cr":
             g = cat.resolve_group(args.group)
+            if args.method == "sample" and not (args.t is not None and 1 <= args.t < g.n):
+                raise ValueError(f"cr sample requires --t, the subset size, from 1 to {g.n - 1}")
             record = _cached(
                 args,
                 f"cr {args.method}",
@@ -250,12 +243,20 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "verify":
             g = None if args.group is None else cat.resolve_group(args.group)
+            verify = ver.prepare(
+                args.lemma_id,
+                g,
+                mode=args.mode,
+                trials=args.trials,
+                seed=args.seed,
+                budget=args.budget,
+            )
             reports = _cached(
                 args,
                 f"verify {args.lemma_id}",
                 args.group or "*",
                 ["group", "lemma_id", "mode", "trials", "seed", "budget"],
-                lambda: {"reports": _run_verify(args, g)},
+                lambda: {"reports": [r.to_json() for r in verify()]},
             )["reports"]
             for report in reports:
                 _print_json(report, args.pretty)

@@ -255,8 +255,9 @@ def _span(op: Sequence[Sequence[int]], gens: Sequence[int]) -> list[int]:
     return members
 
 
-def _generating_sequence(g: GroupTable, orders: Sequence[int]) -> list[int]:
+def _generating_sequence(g: GroupTable) -> list[int]:
     """Elements that generate G, highest order first, none generated by the others."""
+    orders = g.element_orders
     gens: list[int] = []
     seen = 1
     for x in sorted(range(1, g.n), key=lambda x: (-orders[x], x)):
@@ -310,11 +311,8 @@ def _automorphisms(g: GroupTable) -> list[bytes]:
     automorphism joins the generators, and the group grows by whole cosets
     (Dimino's algorithm).  Search and growth stop at the limit.
     """
-    n, op = g.n, g.op
-    orders = [0] * n
-    for x in range(n):
-        orders[x] = len(_span(op, (x,)))
-    gens = _generating_sequence(g, orders)
+    n, op, orders = g.n, g.op, g.element_orders
+    gens = _generating_sequence(g)
     if g.is_abelian:
         group = [bytes(phi) for phi in g.symmetries]
     else:
@@ -486,14 +484,26 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     visited.  A leaf whose walk falls short is escalated (non-abelian groups
     only).
 
+    A prefix whose walk is not full can still certify its subtree by
+    growth.  Let B be its walk with 0, missing delta elements, and append
+    x: the walk with 0 becomes B | (B + x), which is larger than B unless
+    B + x = B.  Then B is a union of left cosets of <x>, and so is the
+    rest of G, so delta is a multiple of ord(x).  Hence if delta is below
+    the order of every element at a position after p, each append grows
+    B until it is G, within delta appends; if delta is also below the k
+    elements still to append, a later append puts 0 itself in the walk.
+    Then all C(n-1-p, k) completions are bases and are counted without
+    being visited (Cauchy-Davenport in Z_p).
+
     The walk after a prefix depends only on the prefix's walk and the
     elements appended, so a subtree is settled when every leaf below it was
-    visited and walked to the whole group: its frame returns True.  A
-    settled subtree is recorded in `settled[d]` (keyed by the walk of its
-    d+1-element prefix, valued by that prefix's last position p0).  A later
-    prefix of the same length and walk ending at p >= p0 has a subset of
-    those completions and is counted like a full prefix.  The memo restarts
-    whenever the first position advances, which bounds its size.
+    visited or certified by growth and walked to the whole group: its frame
+    returns True.  A settled subtree is recorded in `settled[d]` (keyed by
+    the walk of its d+1-element prefix, valued by that prefix's last
+    position p0).  A later prefix of the same length and walk ending at
+    p >= p0 has a subset of those completions and is counted like a full
+    prefix.  The memo restarts whenever the first position advances, which
+    bounds its size.
 
     A prefix of at most `_CANON_DEPTH` + 1 positions that a skip map (an
     automorphism, alone or followed by inversion; see `_skip_maps`) sends
@@ -524,6 +534,16 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     comb = math.comb
     last = size - 1
     maps, skips = _skips(g)
+    # rooms[k][p]: the most elements the walk with 0 of a child at position
+    # p, with k elements still to append, may hold for the scan to enter
+    # it; a larger walk misses fewer than k elements and fewer than the
+    # order of each element after p, the least of which is least[p]
+    orders = g.element_orders
+    least = [0] * n
+    low = n
+    for p in range(n - 1, 0, -1):
+        low = least[p - 1] = min(low, orders[order[p]])
+    rooms = [[n - min(k, v) for v in least] for k in range(size)]
     path = [0] * size
     settled: list[dict[int, int]] = [{} for _ in range(size)]
     checked = 0
@@ -540,8 +560,10 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
             skip = skips.get(prefix)
             if skip is None:
                 skip = skips[prefix] = _noncanonical_children(maps, prefix)
+        k = last - d
+        room = rooms[k]
         clean = True
-        for p in range(path[d - 1] + 1 if d else 1, n - last + d):
+        for p in range(path[d - 1] + 1 if d else 1, n - k):
             if skip >> p & 1:
                 clean = False
             else:
@@ -552,7 +574,16 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
                     x |= per[c][v]
                 if x != full and memo.get(x, n) > p:
                     path[d] = p
-                    if d < last:
+                    if not k:
+                        clean = False
+                        members = tuple(sorted(order[q] for q in path))
+                        try:
+                            basis = escalate and _scan_escalate(members)
+                        except CapacityError:
+                            raise _ScanEnd(checked, None) from None
+                        if not basis:
+                            raise _ScanEnd(checked + 1, members)
+                    elif (x | 1).bit_count() <= room[p]:
                         if not d:
                             for m in settled:
                                 m.clear()
@@ -563,16 +594,11 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
                         else:
                             clean = False
                         continue
-                    clean = False
-                    members = tuple(sorted(order[q] for q in path))
-                    try:
-                        basis = escalate and _scan_escalate(members)
-                    except CapacityError:
-                        raise _ScanEnd(checked, None) from None
-                    if not basis:
-                        raise _ScanEnd(checked + 1, members)
-            # a skipped subtree, a full walk, a memo hit or a basis leaf
-            checked += comb(n - 1 - p, last - d)
+                    # else the walk is bound to grow to the whole group
+                    # (see the docstring), and the subtree is settled
+            # a skipped subtree, a full walk, a memo hit, a subtree certified
+            # by growth or a basis leaf
+            checked += comb(n - 1 - p, k)
             if checked >= cap:
                 raise _ScanEnd(cap, None)
         return clean
@@ -595,10 +621,14 @@ def find_nonbases(
 
     Scan order is lexicographic in the positions of `g.scan_order`, which
     lists the orbits under `g.symmetries` as blocks, largest first.  A
-    subtree whose prefix an automorphism or anti-automorphism sends
-    earlier is counted without being visited (see `_scan_task`); the maps
-    and the skip of each prefix are built on the first scan of a table and
-    kept while the table lives.
+    subtree is counted without being visited when its prefix walks to the
+    whole group, when its walk is bound to grow to the whole group with the
+    elements still to append, when an earlier settled subtree (every leaf
+    below it visited or certified by growth, and walked to the whole group)
+    had the same walk, or when an automorphism or anti-automorphism sends
+    its prefix earlier (see `_scan_task`); the maps and the skip of each
+    prefix are built on the first scan of a table and kept while the table
+    lives.
     Returns (subsets checked, first non-basis or None, complete): the count
     is of subsets in scan order, the non-basis is the first in scan order
     (as a sorted tuple of elements), and complete means every subset was

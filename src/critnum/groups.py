@@ -101,6 +101,19 @@ class GroupTable:
         return True
 
     @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element: the length of its cycle 0, x, x + x, ... back to 0."""
+        op = self.op
+        orders = []
+        for x in range(self.n):
+            k, y = 1, x
+            while y:
+                y = op[y][x]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
+
+    @cached_property
     def _chunk_tables(self) -> list[list[list[int]]]:
         return chunked_translation_tables(self.op, self.n)
 

@@ -600,11 +600,14 @@ LEMMAS: dict[str, Lemma] = {
 LEMMA_IDS = tuple(LEMMAS)
 
 
-def run(lemma_id: str, g: Optional[GroupTable] = None, **params: Any) -> list[VerificationReport]:
-    """The reports of verifier `lemma_id` on `g`; a parameter given as None counts as not given.
+def prepare(
+    lemma_id: str, g: Optional[GroupTable] = None, **params: Any
+) -> Callable[[], list[VerificationReport]]:
+    """Verifier `lemma_id` on `g`, checked but not run; a parameter given as None counts as not given.
 
     Raises ValueError for an unknown id, a missing or unread group, or a
-    parameter the lemma does not read.
+    parameter the lemma does not read.  Calling the result runs the
+    verifier and returns its reports.
     """
     if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}; choose from {', '.join(LEMMA_IDS)}")
@@ -618,7 +621,12 @@ def run(lemma_id: str, g: Optional[GroupTable] = None, **params: Any) -> list[Ve
         if name not in lemma.reads:
             raise ValueError(f"verify {lemma_id} does not read --{name}")
     args = () if lemma.group == "refused" else (g,)
-    return [runner(*args, **given) for runner in lemma.runners]
+    return lambda: [runner(*args, **given) for runner in lemma.runners]
+
+
+def run(lemma_id: str, g: Optional[GroupTable] = None, **params: Any) -> list[VerificationReport]:
+    """The reports of verifier `lemma_id` on `g` (see `prepare`)."""
+    return prepare(lemma_id, g, **params)()
 
 
 def run_L2_5(g: GroupTable) -> list[VerificationReport]:

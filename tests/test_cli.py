@@ -183,6 +183,27 @@ def test_unknown_group_leaves_no_cache_file(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("verify", "NOPE", "--group", "Z9"), "lemma"),
+        (("verify", "L2.4"), "--group"),
+        (("verify", "CDFOLD", "--group", "Z9"), "--group"),
+        (("verify", "L2.1", "--group", "Z9", "--budget", "5"), "--budget"),
+        (("cr", "sample", "--group", "Z9"), "--t"),
+        (("cr", "sample", "--group", "Z9", "--t", "9"), "--t"),
+    ],
+)
+def test_usage_error_leaves_no_cache_file(capsys, tmp_path, monkeypatch, argv, flag):
+    # with no CRITNUM_CACHE the store is ./critnum-cache.jsonl: flags are
+    # checked before the store is opened, so the directory stays empty
+    monkeypatch.delenv("CRITNUM_CACHE")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dispatches_share_one_parser_but_no_values(capsys, tmp_path):
     # the parser is built once per process; a flag given to one dispatch is
     # not seen by the next

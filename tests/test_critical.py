@@ -27,6 +27,7 @@ from critnum.groups import (
     dihedral,
     direct_product,
     heisenberg,
+    make_group,
     semidirect_cyclic,
     smallest_prime_divisor,
     subgroup_closure,
@@ -471,6 +472,98 @@ def without_symmetries(name, scan_order=None):
         h.__dict__["scan_order"] = scan_order
     critical._skips(h)[0].clear()
     return h
+
+
+def without_growth(g):
+    """The table `g` with every element order read as 0, so the scan certifies no subtree by growth.
+
+    Its skip maps are built first, from the true orders, so only the rule is off.
+    """
+    critical._skips(g)
+    g.__dict__["element_orders"] = (0,) * g.n
+    return g
+
+
+def scan_with_escalations(monkeypatch, g, size, budget=None):
+    """The result of one scan and the leaves it escalated, in order."""
+    calls = []
+    escalate = critical._scan_escalate
+
+    def counted(members):
+        calls.append(members)
+        return escalate(members)
+
+    with monkeypatch.context() as m:
+        m.setattr(critical, "_scan_escalate", counted)
+        return find_nonbases(g, size, budget=budget), calls
+
+
+def fresh_table(name):
+    """A new table for a catalog name or a constructor descriptor."""
+    try:
+        return catalog_group.__wrapped__(name)
+    except KeyError:
+        return make_group(name)
+
+
+# dicyclic(5) is the one group of order <= 26 seen where certifying also at
+# equality (a deficit equal to k or to the least order) changes a result:
+# at size 7 it skips a short leaf that the scan without growth escalates
+@pytest.mark.parametrize("name", [e.name for e in catalog_init() if e.order <= 27] + ["dicyclic(5)"])
+def test_find_nonbases_matches_the_scan_without_growth(monkeypatch, name):
+    # certifying a subtree by growth changes neither the count, the find
+    # nor the escalated leaves, at any size and budget
+    g = fresh_table(name)
+    plain = without_growth(fresh_table(name))
+    for size in range(g.n):
+        total = math.comb(g.n - 1, size)
+        for budget in (None, 0, 1, 7, total // 3, total - 1):
+            got = scan_with_escalations(monkeypatch, g, size, budget)
+            assert got == scan_with_escalations(monkeypatch, plain, size, budget), (size, budget)
+
+
+@pytest.mark.parametrize(
+    "make,size",
+    [(lambda: dicyclic(13), 26), (lambda: semidirect_cyclic(19, 3, 7), 20)],
+    ids=["Dic13", "Z19:Z3"],
+)
+def test_scans_at_cr_beyond_order_28_match_the_scan_without_growth(monkeypatch, make, size):
+    # non-abelian, at t = cr: every subset is certified, with the same escalations
+    got = scan_with_escalations(monkeypatch, make(), size)
+    assert got == scan_with_escalations(monkeypatch, without_growth(make()), size)
+    assert got[0][1:] == (None, True)
+
+
+@pytest.mark.slow
+def test_z45_scans_match_the_scan_without_growth():
+    # every size, about 14 s
+    g = catalog_group("Z45")
+    plain = without_growth(catalog_group.__wrapped__("Z45"))
+    for size in range(g.n):
+        assert find_nonbases(g, size) == find_nonbases(plain, size), size
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_init()])
+def test_a_set_missing_fewer_elements_than_an_order_grows_by_its_translate(name):
+    # the fact behind the growth rule: B + x = B makes B, with 0, a union of
+    # left cosets of <x>, so 0 < n - |B| < ord(x) forces B | (B + x) to grow.
+    # The bound is sharp: G less one left coset y + <x> is fixed by x
+    g = catalog_group(name)
+    orders = g.element_orders
+    rng = random.Random(g.n)
+    for _ in range(200):
+        x = rng.randrange(1, g.n)
+        missing = rng.sample(range(1, g.n), rng.randrange(1, orders[x]))
+        b = g.full_mask & ~sum(1 << y for y in missing)
+        assert (b | g.translate(b, x)).bit_count() > b.bit_count(), (x, missing)
+        cyclic_x = subgroup_mask(g, 1 << x)
+        if cyclic_x != g.full_mask:
+            y = rng.choice([y for y in range(g.n) if not cyclic_x >> y & 1])
+            coset = 1 << y
+            for _ in range(orders[x] - 1):
+                coset |= g.translate(coset, x)
+            b = g.full_mask & ~coset
+            assert g.translate(b, x) == b
 
 
 @pytest.mark.parametrize(
@@ -961,9 +1054,8 @@ class CountingTables(list):
         return super().__getitem__(i)
 
 
-def scan_lookups(name, size):
-    """Table row lookups of one scan on a fresh catalog table, and its result."""
-    g = catalog_group.__wrapped__(name)
+def scan_lookups(g, size):
+    """Table row lookups of one scan on a fresh table, and its result."""
     tables = CountingTables(g._chunk_tables)
     g.__dict__["_chunk_tables"] = tables
     result = find_nonbases(g, size)
@@ -973,13 +1065,29 @@ def scan_lookups(name, size):
 def test_order27_scans_evaluate_the_pinned_number_of_children():
     # at t = 10 no leaf is escalated, so every lookup is a child evaluation.
     # Pinned from the scan with canonical prefixes of up to four positions
-    # under the automorphisms, with and without inversion (101,519 under the
+    # under the automorphisms, with and without inversion, and subtrees
+    # certified by growth (32,567 without growth, 101,519 under the
     # symmetries alone, 114,021 with prefixes of up to three); more means a
-    # weaker skip or memo
-    want = {"Z27": 15204, "Z9xZ3": 6969, "Z3xZ3xZ3": 1471, "H27": 2136, "Z9:Z3": 6787}
+    # weaker skip, memo or growth rule
+    want = {"Z27": 10739, "Z9xZ3": 4183, "Z3xZ3xZ3": 723, "H27": 1629, "Z9:Z3": 4607}
     got = {}
     for name in ORDER27:
-        got[name], result = scan_lookups(name, 10)
+        got[name], result = scan_lookups(catalog_group.__wrapped__(name), 10)
         assert result == (math.comb(26, 10), None, True)
     assert got == want
-    assert sum(got.values()) == 32567
+    assert sum(got.values()) == 21881
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "g,size,evaluations",
+    [
+        # 612,866 and 2,336,028 without growth; about 0.6 s and 2 s
+        (direct_product(cyclic(7), cyclic(7)), 12, 426567),
+        (cyclic(47), 13, 1436008),
+    ],
+    ids=["Z7xZ7", "Z47"],
+)
+def test_scans_beyond_order_28_evaluate_the_pinned_number_of_children(g, size, evaluations):
+    # abelian, so no leaf is escalated and every lookup is a child evaluation
+    assert scan_lookups(g, size) == (evaluations, (math.comb(g.n - 1, size), None, True))

@@ -542,6 +542,12 @@ def element_order(g, x):
     return k
 
 
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG_DESCRIPTORS])
+def test_element_orders_are_the_sizes_of_the_cyclic_subgroups(name):
+    g = catalog_group(name)
+    assert g.element_orders == tuple(subgroup_mask(g, 1 << x).bit_count() for x in range(g.n))
+
+
 def test_orbit_representatives_of_order27_groups():
     def reps(g):
         return {x for x in range(1, g.n) if g.orbit_min[x] == x}
