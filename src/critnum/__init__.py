@@ -15,6 +15,7 @@ from .groups import (
     is_prime,
     load_cayley,
     make_group,
+    normal_subgroups_of_prime_index,
     prime_divisors,
     quotient,
     save_cayley,

@@ -9,8 +9,8 @@ from .groups import (
     GroupTable,
     is_nilpotent,
     make_group,
+    normal_subgroups_of_prime_index,
     smallest_prime_divisor,
-    subgroups_of_index,
 )
 
 # name -> constructor descriptor
@@ -79,7 +79,7 @@ def compute_flags(g: GroupTable) -> dict:
     return {
         "abelian": g.is_abelian,
         "nilpotent": is_nilpotent(g),
-        "has_index2_subgroup": g.n % 2 == 0 and bool(subgroups_of_index(g, 2)),
+        "has_index2_subgroup": bool(normal_subgroups_of_prime_index(g, 2)),
         "smallest_prime": smallest_prime_divisor(g.n),
     }
 

@@ -144,21 +144,24 @@ def _run_cr(args, g) -> dict:
 def _cached(
     args, operation: str, group_key: str, keys: Sequence[str], run: Callable[[], dict]
 ) -> dict:
-    """The cached record for this command; on a miss, `run()` under the cache lock, stored.
+    """The cached record for this command; on a miss, `run()`, then store it under the lock.
 
-    The key is the command's arguments plus `ENGINE_VERSION`.  Taking the
-    lock creates the store, so the caller resolves the group and checks its
-    flags first: a command that cannot run leaves no file behind.
+    The key is the command's arguments plus `ENGINE_VERSION`.  The lock,
+    which creates the store, is taken only after `run()` returns, so a
+    command that fails leaves no file behind.  Under the lock the key is
+    looked up again: if another process stored it meanwhile, its record wins.
     """
     if args.no_cache:
         return run()
     cache = ResultCache()
     params = {k: getattr(args, k, None) for k in keys}
     params["engine"] = ENGINE_VERSION
-    with cache.lock():
-        record = cache.get(group_key, operation, params)
-        if record is None:
-            record = cache.put(group_key, operation, params, run())
+    record = cache.get(group_key, operation, params)
+    if record is None:
+        record = run()
+        with cache.lock():
+            stored = cache.get(group_key, operation, params)
+            record = cache.put(group_key, operation, params, record) if stored is None else stored
     return record
 
 

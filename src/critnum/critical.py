@@ -15,8 +15,11 @@ from .groups import (
     ElementSet,
     GroupTable,
     SubgroupInfo,
+    generating_sequence,
+    homomorphism,
     is_nilpotent,
     is_prime,
+    normal_subgroups_of_prime_index,
     prime_divisors,
     quotient,
     smallest_prime_divisor,
@@ -101,7 +104,7 @@ def cr_formula(g: GroupTable) -> Optional[CrCertificate]:
     p = smallest_prime_divisor(n)
     base = n // p + p - 2
     abelian = g.is_abelian
-    has_index2 = n % 2 == 0 and bool(subgroups_of_index(g, 2))
+    has_index2 = bool(normal_subgroups_of_prime_index(g, 2))
     tag = None
     value = None
     notes = None
@@ -191,17 +194,17 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
     The witness takes every non-identity element of the subgroup plus p - 2
     elements of one generating coset: its closure provably misses the inverse
     coset, which is re-verified here by the subset sums of its image in the
-    quotient by the subgroup.  With k omitted, the first normal subgroup of
-    index p (p the smallest prime divisor) in `subgroups_of_index` order is
+    quotient by the subgroup.  With k omitted, the normal subgroup of index
+    p (p the smallest prime divisor) with the smallest carrier bit-set is
     used: every such subgroup has n/p elements, so all give the same bound.
     """
     if k is not None:
         return _witness_for_subgroup(g, k)
     p = smallest_prime_divisor(g.n)
-    sub = next((s for s in subgroups_of_index(g, p) if s.is_normal), None)
-    if sub is None:
+    subs = normal_subgroups_of_prime_index(g, p)
+    if not subs:
         raise ValueError(f"{g.name} has no normal subgroup of index {p}")
-    return _witness_for_subgroup(g, sub)
+    return _witness_for_subgroup(g, subs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -237,82 +240,20 @@ def _pad(phi: bytes) -> bytes:
     return phi + bytes(256 - len(phi))
 
 
-def _span(op: Sequence[Sequence[int]], gens: Sequence[int]) -> list[int]:
-    """The elements of the subgroup generated by `gens`, in breadth-first order from 0.
-
-    Read off the table, like the rest of the automorphism search, so that
-    building the skip maps makes no `translate` call.
-    """
-    members = [0]
-    seen = 1
-    for x in members:
-        row = op[x]
-        for s in gens:
-            y = row[s]
-            if not seen >> y & 1:
-                seen |= 1 << y
-                members.append(y)
-    return members
-
-
-def _generating_sequence(g: GroupTable) -> list[int]:
-    """Elements that generate G, highest order first, none generated by the others."""
-    orders = g.element_orders
-    gens: list[int] = []
-    seen = 1
-    for x in sorted(range(1, g.n), key=lambda x: (-orders[x], x)):
-        if not seen >> x & 1:
-            gens.append(x)
-            seen = sum(1 << y for y in _span(g.op, gens))
-    for s in list(gens):
-        rest = [t for t in gens if t != s]
-        if len(_span(g.op, rest)) == g.n:
-            gens = rest
-    return gens
-
-
-def _homomorphism(
-    g: GroupTable, gens: Sequence[int], images: Sequence[int]
-) -> Optional[list[int]]:
-    """The one-to-one map with gens[i] -> images[i] and phi(x + s) = phi(x) + phi(s), or None.
-
-    It is built outward from 0 and checked on every edge x -> x + s of the
-    subgroup the generators s span, which makes it a homomorphism there.
-    """
-    op = g.op
-    phi = [-1] * g.n
-    phi[0] = 0
-    used = 1
-    queue = [0]
-    pairs = tuple(zip(gens, images))
-    for x in queue:
-        row, image_row = op[x], op[phi[x]]
-        for s, t in pairs:
-            y, want = row[s], image_row[t]
-            if phi[y] < 0:
-                if used >> want & 1:
-                    return None
-                phi[y] = want
-                used |= 1 << want
-                queue.append(y)
-            elif phi[y] != want:
-                return None
-    return phi
-
-
 def _automorphisms(g: GroupTable) -> list[bytes]:
     """Aut(G) as element maps, closed up to `_MAP_LIMIT` maps; the automorphic symmetries first.
 
     An automorphism is fixed by its images of a generating sequence.  The
     search picks images of the same element order one generator at a time
-    and goes on only while they extend to a one-to-one homomorphism of the
-    subgroup spanned so far.  A full choice that some map of the group
-    already makes is passed over by one set lookup; any other found
-    automorphism joins the generators, and the group grows by whole cosets
-    (Dimino's algorithm).  Search and growth stop at the limit.
+    and goes on only while they extend to a homomorphism of the subgroup
+    spanned so far that sends no element but 0 to 0, so is one-to-one.  A
+    full choice that some map of the group already makes is passed over by
+    one set lookup; any other found automorphism joins the generators, and
+    the group grows by whole cosets (Dimino's algorithm).  Search and growth
+    stop at the limit.
     """
     n, op, orders = g.n, g.op, g.element_orders
-    gens = _generating_sequence(g)
+    gens = generating_sequence(g)
     if g.is_abelian:
         group = [bytes(phi) for phi in g.symmetries]
     else:
@@ -336,11 +277,12 @@ def _automorphisms(g: GroupTable) -> list[bytes]:
         del images[i - 1 :]
         images.append(y)
         if i < len(gens):
-            if _homomorphism(g, gens[:i], images) is not None:
+            phi = homomorphism(g, gens[:i], images, op)
+            if phi is not None and phi.count(0) == 1:
                 choices.append(iter(candidates[i]))
             continue
-        phi = None if bytes(images) in made else _homomorphism(g, gens, images)
-        if phi is None:
+        phi = None if bytes(images) in made else homomorphism(g, gens, images, op)
+        if phi is None or phi.count(0) > 1:
             continue
         # a new generator: add the left cosets x.H of the group H so far
         base = list(group)

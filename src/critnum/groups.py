@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -586,7 +586,6 @@ def subgroup_closure(g: GroupTable, gens: ElementSet) -> SubgroupInfo:
     )
 
 
-@lru_cache(maxsize=64)
 def _all_subgroup_masks(g: GroupTable) -> tuple[int, ...]:
     """Every subgroup of g, found by closing known subgroups under one extra generator."""
     found = {1}
@@ -601,6 +600,68 @@ def _all_subgroup_masks(g: GroupTable) -> tuple[int, ...]:
                 found.add(mask)
                 frontier.append(mask)
     return tuple(sorted(found))
+
+
+def generating_sequence(g: GroupTable) -> list[int]:
+    """Elements that generate G, highest order first, none generated by the others."""
+    orders = g.element_orders
+    gens: list[int] = []
+    seen = 1
+    for x in sorted(range(1, g.n), key=lambda x: (-orders[x], x)):
+        if not seen >> x & 1:
+            gens.append(x)
+            seen = subgroup_mask(g, sum(1 << s for s in gens))
+    for s in list(gens):
+        rest = [t for t in gens if t != s]
+        if subgroup_mask(g, sum(1 << t for t in rest)) == g.full_mask:
+            gens = rest
+    return gens
+
+
+def homomorphism(
+    g: GroupTable, gens: Sequence[int], images: Sequence[int], target: Sequence[Sequence[int]]
+) -> Optional[list[int]]:
+    """The map with gens[i] -> images[i] and phi(x + s) = phi(x) + phi(s), or None.
+
+    `target` is the multiplication table the images live in.  The map is
+    built outward from 0 and checked on every edge x -> x + s of the
+    subgroup the generators s span, which makes it a homomorphism there;
+    elements outside that subgroup map to -1.
+    """
+    op = g.op
+    phi = [-1] * g.n
+    phi[0] = 0
+    queue = [0]
+    pairs = tuple(zip(gens, images))
+    for x in queue:
+        row, image_row = op[x], target[phi[x]]
+        for s, t in pairs:
+            y, want = row[s], image_row[t]
+            if phi[y] < 0:
+                phi[y] = want
+                queue.append(y)
+            elif phi[y] != want:
+                return None
+    return phi
+
+
+def normal_subgroups_of_prime_index(g: GroupTable, p: int) -> list[SubgroupInfo]:
+    """The normal subgroups of prime index p, sorted by carrier bit-set.
+
+    They are the kernels of the maps of G onto Z_p.  Such a map is fixed by
+    its images of a generating sequence; maps that differ by a unit of Z_p
+    share a kernel, so only choices whose first nonzero image is 1 are tried.
+    """
+    if not is_prime(p):
+        raise ValueError(f"index {p} is not prime")
+    if g.n % p:
+        return []
+    gens = generating_sequence(g)
+    zp = [[(a + b) % p for b in range(p)] for a in range(p)]
+    choices = (c for c in product(range(p), repeat=len(gens)) if next(filter(None, c), 0) == 1)
+    maps = (homomorphism(g, gens, images, zp) for images in choices)
+    kernels = sorted(sum(1 << x for x, v in enumerate(phi) if not v) for phi in maps if phi)
+    return [SubgroupInfo(ElementSet(g, k), True, p) for k in kernels]
 
 
 def subgroups_of_index(g: GroupTable, k: int) -> list[SubgroupInfo]:
@@ -663,11 +724,17 @@ def center(g: GroupTable) -> ElementSet:
 
 
 def is_nilpotent(g: GroupTable) -> bool:
-    """True iff the upper central series reaches the whole group."""
-    while g.n > 1:
-        z = center(g)
-        if len(z) == 1:
-            return False
-        info = SubgroupInfo(z, True, g.n // len(z))
-        g, _ = quotient(g, info)
-    return True
+    """True iff any two elements of coprime order commute.
+
+    Then each Sylow p-subgroup is normal: its normalizer holds it and every
+    element of order prime to p, so a Sylow subgroup for every prime.  A
+    group whose Sylow subgroups are normal is their direct product, and
+    there elements of coprime order commute.
+    """
+    orders, op = g.element_orders, g.op
+    return all(
+        op[a][b] == op[b][a]
+        for a in range(1, g.n)
+        for b in range(a + 1, g.n)
+        if math.gcd(orders[a], orders[b]) == 1
+    )

@@ -180,14 +180,6 @@ def verify_L2_1(
     return _run_cases("L2.1", g.name, _pick_mode(mode, g, 10), check, every, draw, trials, seed)
 
 
-def _bits_list(bits: int) -> list[int]:
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # L2.2: in an abelian group of order pq, every (p+q-1)-subset avoiding 0 is a basis
 
@@ -278,7 +270,7 @@ def verify_L2_3(
         for x in s_members:
             if 4 * lambda_bits(g, b_bits, x) >= bound4:
                 return None
-        return {"set": list(s_members), "B": _bits_list(b_bits)}
+        return {"set": list(s_members), "B": list(ElementSet(g, b_bits).indices())}
 
     return _run_cases("L2.3", g.name, mode, check, every, draw, trials, seed)
 

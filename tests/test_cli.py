@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from critnum import sumsets
+from critnum import cli, sumsets
 from critnum.cache import ResultCache
 from critnum.cli import ENGINE_VERSION, cli_dispatch
 from critnum.critical import DEFAULT_SEED
@@ -192,11 +192,14 @@ def test_unknown_group_leaves_no_cache_file(capsys, tmp_path, argv):
         (("verify", "L2.1", "--group", "Z9", "--budget", "5"), "--budget"),
         (("cr", "sample", "--group", "Z9"), "--t"),
         (("cr", "sample", "--group", "Z9", "--t", "9"), "--t"),
+        # raised while the command runs: the store is opened only to append
+        (("verify", "L2.5", "--group", "Z27"), "order 9"),
+        (("cr", "witness", "--group", "cyclic(7)"), "coset"),
     ],
 )
 def test_usage_error_leaves_no_cache_file(capsys, tmp_path, monkeypatch, argv, flag):
-    # with no CRITNUM_CACHE the store is ./critnum-cache.jsonl: flags are
-    # checked before the store is opened, so the directory stays empty
+    # with no CRITNUM_CACHE the store is ./critnum-cache.jsonl: it is opened
+    # only to append a finished record, so the directory stays empty
     monkeypatch.delenv("CRITNUM_CACHE")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -305,6 +308,22 @@ def test_catalog_list(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     names = {e["name"] for e in lines}
     assert {"Z27", "H27", "Z9:Z3", "A4", "Z45"} <= names
+
+
+def test_cache_keeps_a_record_stored_while_the_command_ran(capsys, tmp_path, monkeypatch):
+    # the lock is taken only to append, after the run: a record that another
+    # command stored meanwhile is looked up again, and it wins
+    real = cli._run_cr
+
+    def racing(args, g):
+        monkeypatch.setattr(cli, "_run_cr", real)
+        assert run(capsys, "cr", "formula", "--group", "D7")[0] == 0
+        return {**real(args, g), "notes": "late"}
+
+    monkeypatch.setattr(cli, "_run_cr", racing)
+    code, out, _ = run(capsys, "cr", "formula", "--group", "D7")
+    assert code == 0 and json.loads(out)["notes"] is None
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
 
 
 def test_cache_replay_byte_identical(capsys):

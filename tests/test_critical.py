@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from critnum import critical, sumsets
-from critnum.catalog import catalog_group, catalog_init
+from critnum import critical, groups, sumsets
+from critnum.catalog import catalog_group, catalog_init, compute_flags
 from critnum.critical import (
     CrCertificate,
     ResolvingSequence,
@@ -260,6 +260,28 @@ def test_witness_lower_bound_takes_the_first_normal_subgroup(name):
     assert len({c.lower_bound for c in certs}) == 1
     got = witness_lower_bound(g)
     assert {**got.to_json(), "elapsed_ms": 0} == {**best.to_json(), "elapsed_ms": 0}
+
+
+def test_engine_paths_never_list_subgroups(monkeypatch):
+    # the formula, the witness, the catalog flags and the exhaustive search
+    # read nilpotency and the normal prime-index subgroups off the table
+    def refuse(g):
+        raise AssertionError(f"listed every subgroup of {g.name}")
+
+    monkeypatch.setattr(groups, "_all_subgroup_masks", refuse)
+    for entry in catalog_init():
+        if entry.order > 16:
+            continue
+        g = catalog_group.__wrapped__(entry.name)
+        cr_formula(g)
+        compute_flags(g)
+        if entry.name == "A4":
+            with pytest.raises(ValueError, match="no normal subgroup of index 2"):
+                witness_lower_bound(g)
+        else:
+            p = entry.smallest_prime
+            assert witness_lower_bound(g).lower_bound == g.n // p + p - 2
+        assert cr_exhaustive(g).value == KNOWN_CR[entry.name]
 
 
 def test_cr_exhaustive_dihedral20_witness_through_quotient():
@@ -1055,7 +1077,12 @@ class CountingTables(list):
 
 
 def scan_lookups(g, size):
-    """Table row lookups of one scan on a fresh table, and its result."""
+    """Table row lookups of one scan on a fresh table, and its result.
+
+    The skip maps are built first: finding a generating sequence for the
+    automorphism search takes translates, which are not scan work.
+    """
+    critical._skips(g)
     tables = CountingTables(g._chunk_tables)
     g.__dict__["_chunk_tables"] = tables
     result = find_nonbases(g, size)

@@ -12,6 +12,7 @@ from critnum.groups import (
     CHUNK_BITS,
     ElementSet,
     GroupValidationError,
+    SubgroupInfo,
     _all_subgroup_masks,
     alternating,
     center,
@@ -25,6 +26,7 @@ from critnum.groups import (
     is_prime,
     load_cayley,
     make_group,
+    normal_subgroups_of_prime_index,
     prime_divisors,
     quotient,
     save_cayley,
@@ -411,6 +413,101 @@ def test_nilpotency():
     g = dihedral(3)
     z = [x for x in range(6) if all(g.op[x][y] == g.op[y][x] for y in range(6))]
     assert z == [0]
+
+
+def _upper_central_series_reaches_g(g):
+    """Reference nilpotency test: quotient by the centre until nothing is left."""
+    while g.n > 1:
+        z = center(g)
+        if len(z) == 1:
+            return False
+        g, _ = quotient(g, SubgroupInfo(z, True, g.n // len(z)))
+    return True
+
+
+def _constructor_groups():
+    """177 constructor groups of order at most 64, 76 of them nilpotent."""
+    descs = [f"cyclic({n})" for n in range(1, 21)]
+    descs += [f"dihedral({m})" for m in range(1, 21)]
+    descs += [f"dicyclic({m})" for m in range(1, 11)]
+    descs += [
+        f"semidirect_cyclic({a},{b},{k})"
+        for a in range(3, 22)
+        for b in range(2, 7)
+        for k in range(2, a)
+        if a * b <= 64 and math.gcd(k, a) == 1 and pow(k, b, a) == 1
+    ]
+    small = ["cyclic(2)", "cyclic(3)", "cyclic(4)", "dihedral(3)", "dihedral(4)", "dicyclic(2)"]
+    descs += [f"direct_product({a},{b})" for i, a in enumerate(small) for b in small[i:]]
+    descs += ["heisenberg(3)", "alternating(4)", "direct_product(alternating(4),cyclic(2))"]
+    return [make_group(d) for d in descs]
+
+
+def test_nilpotency_matches_the_upper_central_series():
+    # elements of coprime order commute exactly when the upper central series
+    # reaches G: on every catalog group and 177 constructor groups
+    groups = [catalog_group(name) for name, _ in CATALOG_DESCRIPTORS] + _constructor_groups()
+    assert len(groups) >= 170
+    got = [is_nilpotent(g) for g in groups]
+    assert got == [_upper_central_series_reaches_g(g) for g in groups]
+    assert 0 < sum(got) < len(got)
+
+
+def _lattice_groups():
+    """Constructor groups of order at most 64 whose full subgroup list takes about a second."""
+    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
+    return [
+        direct_product(dihedral(4), dihedral(4)),
+        direct_product(c2, direct_product(c2, direct_product(c2, direct_product(c2, c2)))),
+        direct_product(c2, direct_product(c2, dihedral(4))),
+        direct_product(dicyclic(2), dicyclic(2)),
+        direct_product(cyclic(8), cyclic(8)),
+        direct_product(c4, direct_product(c4, c2)),
+        direct_product(c2, dicyclic(4)),
+        direct_product(c2, heisenberg(3)),
+        direct_product(alternating(4), c3),
+        direct_product(dihedral(3), dihedral(3)),
+        direct_product(cyclic(7), cyclic(7)),
+        dicyclic(13),
+        dicyclic(15),
+        dicyclic(8),
+        dihedral(16),
+        dihedral(20),
+        dihedral(26),
+        dihedral(32),
+        cyclic(33),
+        cyclic(64),
+        semidirect_cyclic(19, 3, 7),
+        semidirect_cyclic(16, 2, 7),
+        semidirect_cyclic(7, 6, 3),
+        semidirect_cyclic(11, 5, 3),
+    ]
+
+
+def test_prime_index_kernels_are_the_normal_subgroups_of_that_index():
+    # the kernels of the maps onto Z_p are exactly the normal members of the
+    # full subgroup list of index p, in the same order, for every prime p
+    groups = [catalog_group(name) for name, _ in CATALOG_DESCRIPTORS] + _lattice_groups()
+    for g in groups:
+        for p in prime_divisors(g.n):
+            want = [s for s in subgroups_of_index(g, p) if s.is_normal]
+            assert normal_subgroups_of_prime_index(g, p) == want, (g.name, p)
+
+
+def test_prime_index_kernels_of_elementary_abelian_groups():
+    # Z_p^r has (p^r - 1)/(p - 1) hyperplanes; an index that is not a prime
+    # divisor has none
+    z2 = cyclic(2)
+    for _ in range(6):
+        z2 = direct_product(z2, cyclic(2))
+    kernels = normal_subgroups_of_prime_index(z2, 2)
+    assert len(kernels) == 127 and all(len(k.carrier) == 64 for k in kernels)
+    assert [k.carrier.bits for k in kernels] == sorted(k.carrier.bits for k in kernels)
+    assert len(normal_subgroups_of_prime_index(direct_product(cyclic(5), cyclic(5)), 5)) == 6
+    assert normal_subgroups_of_prime_index(cyclic(9), 2) == []
+    assert normal_subgroups_of_prime_index(alternating(4), 2) == []
+    with pytest.raises(ValueError):
+        normal_subgroups_of_prime_index(cyclic(8), 4)
 
 
 def test_smallest_prime_divisor():
