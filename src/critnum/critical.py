@@ -21,7 +21,6 @@ from .groups import (
     is_prime,
     normal_subgroups_of_prime_index,
     prime_divisors,
-    quotient,
     smallest_prime_divisor,
     subgroup_mask,
     subgroups_of_index,
@@ -30,7 +29,6 @@ from .sumsets import (
     CapacityError,
     covers_group,
     exact_reach_mask,
-    fixed_order_reach_mask,
     lambda_bits,
 )
 
@@ -145,32 +143,52 @@ def cr_formula(g: GroupTable) -> Optional[CrCertificate]:
 # witness construction
 
 
-def _witness_for_subgroup(g: GroupTable, sub: SubgroupInfo) -> CrCertificate:
+def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCertificate:
+    """Certify cr >= n/p + p - 2 from a normal subgroup K of prime index p.
+
+    The witness takes every non-identity element of K plus p - 2 elements
+    of one coset x + K.  G/K is cyclic of order p and generated by x + K,
+    so labelling each element j when it lies in jx + K adds labels along
+    every sum; the labels are built and checked on every table edge by x
+    and by the members of K (`homomorphism`).  An ordered sum of distinct
+    members lies in the coset of a subset sum of their labels, so labels
+    whose subset sums miss p - 1 leave the whole coset -x + K out of the
+    closure, which is re-checked here.  With k omitted, the normal subgroup
+    of index p (p the smallest prime divisor) with the smallest carrier
+    bit-set is used: every such subgroup has n/p elements, so all give the
+    same bound.
+    """
     t0 = time.perf_counter()
-    p = sub.index
+    if k is None:
+        p = smallest_prime_divisor(g.n)
+        subs = normal_subgroups_of_prime_index(g, p)
+        if not subs:
+            raise ValueError(f"{g.name} has no normal subgroup of index {p}")
+        k = subs[0]
+    p = k.index
     if not is_prime(p):
         raise ValueError(f"witness construction needs prime index, got {p}")
-    if not sub.is_normal:
+    k_members = k.carrier.indices()
+    x = next(i for i in range(g.n) if i not in k.carrier)
+    zp = [[(a + b) % p for b in range(p)] for a in range(p)]
+    label = None
+    if k.is_normal:
+        label = homomorphism(g, [x, *k_members], [1] + [0] * len(k_members), zp)
+    if label is None:
         raise ValueError("witness construction needs a normal subgroup")
-    k_bits = sub.carrier.bits
-    k_size = k_bits.bit_count()
-    if k_size < p - 2:
+    if len(k_members) < p - 2:
         raise ValueError(
-            f"witness construction needs {p - 2} coset elements but cosets have {k_size}"
+            f"witness construction needs {p - 2} coset elements but cosets have {len(k_members)}"
         )
-    x = next(i for i in range(g.n) if not k_bits >> i & 1)
-    gk, proj = quotient(g, sub)
-    coset_members = [i for i in range(g.n) if proj[i] == proj[x]]
-    t_members = sorted(
-        [i for i in range(1, g.n) if k_bits >> i & 1] + coset_members[: p - 2]
-    )
-    # every ordered sum of distinct members projects to a subset sum of their
-    # images in the abelian G/K, so an unreached image of -x means the closure
-    # misses the whole coset -x + K
-    if fixed_order_reach_mask(gk, [proj[a] for a in t_members]) >> proj[g.inv[x]] & 1:
+    coset = [a for a in range(g.n) if label[a] == 1]
+    t_members = sorted([*k_members[1:], *coset[: p - 2]])
+    sums = 1
+    for a in t_members:
+        sums |= (sums << label[a] | sums >> (p - label[a])) & ((1 << p) - 1)
+    if sums >> (p - 1) & 1:
         raise RuntimeError(
             f"witness construction invalid for {g.name} with coset of {x}: "
-            "the image in G/K reaches the inverse coset"
+            "the labels reach the inverse coset"
         )
     lower = len(t_members) + 1
     tag = "L2.6" if g.n == 27 else ("T1.3ii" if p == 2 else "T1.2")
@@ -188,30 +206,8 @@ def _witness_for_subgroup(g: GroupTable, sub: SubgroupInfo) -> CrCertificate:
     )
 
 
-def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCertificate:
-    """Certify cr >= n/p + p - 2 from a normal index-p subgroup.
-
-    The witness takes every non-identity element of the subgroup plus p - 2
-    elements of one generating coset: its closure provably misses the inverse
-    coset, which is re-verified here by the subset sums of its image in the
-    quotient by the subgroup.  With k omitted, the normal subgroup of index
-    p (p the smallest prime divisor) with the smallest carrier bit-set is
-    used: every such subgroup has n/p elements, so all give the same bound.
-    """
-    if k is not None:
-        return _witness_for_subgroup(g, k)
-    p = smallest_prime_divisor(g.n)
-    subs = normal_subgroups_of_prime_index(g, p)
-    if not subs:
-        raise ValueError(f"{g.name} has no normal subgroup of index {p}")
-    return _witness_for_subgroup(g, subs[0])
-
-
 # ---------------------------------------------------------------------------
 # subset scanning (shared by exhaustive search and the verifiers)
-
-# the group of the running scan, for the one-argument escalation hook
-_SCAN: dict = {}
 
 # deepest frame whose children are tested for a canonical prefix (a frame
 # at depth d tests prefixes of d + 1 positions); on the five order-27 scans
@@ -222,9 +218,9 @@ _SCAN: dict = {}
 _CANON_DEPTH = 3
 
 
-def _scan_escalate(members: tuple[int, ...]) -> bool:
+def _scan_escalate(leaf: ElementSet) -> bool:
     """Slow-path cover check of a leaf whose ascending walk fell short."""
-    return covers_group(_SCAN["g"], members)
+    return covers_group(leaf.group, leaf.indices())
 
 
 # the most maps the canonical-prefix skip tests, the identity included.
@@ -241,7 +237,7 @@ def _pad(phi: bytes) -> bytes:
 
 
 def _automorphisms(g: GroupTable) -> list[bytes]:
-    """Aut(G) as element maps, closed up to `_MAP_LIMIT` maps; the automorphic symmetries first.
+    """Aut(G) as element maps, identity first, closed up to `_MAP_LIMIT` maps.
 
     An automorphism is fixed by its images of a generating sequence.  The
     search picks images of the same element order one generator at a time
@@ -249,22 +245,15 @@ def _automorphisms(g: GroupTable) -> list[bytes]:
     spanned so far that sends no element but 0 to 0, so is one-to-one.  A
     full choice that some map of the group already makes is passed over by
     one set lookup; any other found automorphism joins the generators, and
-    the group grows by whole cosets (Dimino's algorithm).  Search and growth
-    stop at the limit.
+    the maps known so far are closed under composition with it.  Search
+    and closure stop at the limit.
     """
     n, op, orders = g.n, g.op, g.element_orders
     gens = generating_sequence(g)
-    if g.is_abelian:
-        group = [bytes(phi) for phi in g.symmetries]
-    else:
-        # each symmetry is an automorphism or an anti-automorphism, and on
-        # a pair that does not commute only an automorphism keeps the order
-        a, b = next((a, b) for a in range(n) for b in range(a) if op[a][b] != op[b][a])
-        group = [bytes(phi) for phi in g.symmetries if phi[op[a][b]] == op[phi[a]][phi[b]]]
-    # growing by cosets needs generators of the group so far: at first, all of it
-    generators = list(group)
+    group = [bytes(range(n))]
     known = set(group)
-    made = {bytes(phi[s] for s in gens) for phi in group}
+    made = {bytes(gens)}
+    generators: list[bytes] = []
     candidates = [[y for y in range(1, n) if orders[y] == orders[s]] for s in gens]
     images: list[int] = []
     choices = [iter(candidates[0])] if gens else []
@@ -284,28 +273,27 @@ def _automorphisms(g: GroupTable) -> list[bytes]:
         phi = None if bytes(images) in made else homomorphism(g, gens, images, op)
         if phi is None or phi.count(0) > 1:
             continue
-        # a new generator: add the left cosets x.H of the group H so far
-        base = list(group)
-        generators.append(bytes(phi))
-        reps = [bytes(range(n))]
-        for r in reps:
-            for s in generators:
-                x = r.translate(_pad(s))
-                if x not in known and len(group) < _MAP_LIMIT:
-                    table = _pad(x)
-                    coset = [h.translate(table) for h in base]
-                    known.update(coset)
-                    made.update(bytes(c[t] for t in gens) for c in coset)
-                    group.extend(coset)
-                    reps.append(x)
+        # a new generator: compose the maps so far with it, and each new map
+        # with every generator, so the maps stay closed under composition
+        generators.append(_pad(bytes(phi)))
+        old = len(group)
+        for j, x in enumerate(group):
+            if len(group) >= _MAP_LIMIT:
+                break
+            for s in generators[-1:] if j < old else generators:
+                xs = x.translate(s)
+                if xs not in known:
+                    known.add(xs)
+                    made.add(bytes(xs[t] for t in gens))
+                    group.append(xs)
     return group[:_MAP_LIMIT]
 
 
 def _skip_maps(g: GroupTable) -> list[bytes]:
     """The maps the canonical-prefix skip tests, as maps of scan positions; identity excluded.
 
-    They are the symmetries, then the automorphisms and the automorphisms
-    followed by inversion, each once, at most `_MAP_LIMIT` in all: every
+    They are the automorphisms, then the automorphisms followed by
+    inversion, each once, at most `_MAP_LIMIT` with the identity: every
     such map sends bases to bases.  Position q goes to the position of the
     image of the element at q, so `order[perm[q]] == phi[order[q]]` for
     `order = g.scan_order`.  Positions fit in a byte up to order 256;
@@ -319,9 +307,7 @@ def _skip_maps(g: GroupTable) -> list[bytes]:
         pos[a] = p
     autos = _automorphisms(g)
     inversion = _pad(bytes(g.inv))
-    maps = dict.fromkeys(map(bytes, g.symmetries))
-    maps.update(dict.fromkeys(autos))
-    maps.update(dict.fromkeys(phi.translate(inversion) for phi in autos))
+    maps = dict.fromkeys([*autos, *(phi.translate(inversion) for phi in autos)])
     elements, positions = bytes(order), _pad(bytes(pos))
     return [
         elements.translate(_pad(phi)).translate(positions)
@@ -412,10 +398,13 @@ class _ScanEnd(Exception):
     """Cap reached, non-basis found or leaf undecided; args are the scan's result."""
 
 
-def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
+def _scan_task(
+    args: tuple[GroupTable, int, int]
+) -> tuple[int, Optional[tuple[int, ...]]]:
     """Find the first non-basis among the first `cap` size-`size` subsets of G\\{0}.
 
-    Subsets are visited in lexicographic order of their positions in
+    `args` is `(g, size, cap)`, one argument, so a wrapper can pass it on
+    unread.  Subsets are visited in lexicographic order of their positions in
     `scan_order`, not of their element labels: a depth-first walk over
     positions 1..n-1 takes the element `order[p]` at position p and
     carries the ascending-walk bit-set of the current prefix, in elements.
@@ -423,8 +412,8 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     reaches is an ordered sum of distinct elements, so once a prefix of d
     elements ending at position p reaches the whole group, all
     C(n-1-p, size-d) completions are bases and are counted without being
-    visited.  A leaf whose walk falls short is escalated (non-abelian groups
-    only).
+    visited.  A leaf whose walk falls short is escalated as an
+    `ElementSet`, which carries its group (non-abelian groups only).
 
     A prefix whose walk is not full can still certify its subtree by
     growth.  Let B be its walk with 0, missing delta elements, and append
@@ -463,10 +452,9 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     leaf that escalation cannot decide (it raises `CapacityError`) ends the
     scan uncounted, short of `cap`.
     """
-    size, cap = args
+    g, size, cap = args
     if cap <= 0:
         return 0, None
-    g = _SCAN["g"]
     n = g.n
     full = g.full_mask
     escalate = not g.is_abelian
@@ -518,13 +506,13 @@ def _scan_task(args: tuple[int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
                     path[d] = p
                     if not k:
                         clean = False
-                        members = tuple(sorted(order[q] for q in path))
+                        leaf = ElementSet(g, sum(1 << order[q] for q in path))
                         try:
-                            basis = escalate and _scan_escalate(members)
+                            basis = escalate and _scan_escalate(leaf)
                         except CapacityError:
                             raise _ScanEnd(checked, None) from None
                         if not basis:
-                            raise _ScanEnd(checked + 1, members)
+                            raise _ScanEnd(checked + 1, leaf.indices())
                     elif (x | 1).bit_count() <= room[p]:
                         if not d:
                             for m in settled:
@@ -562,7 +550,7 @@ def find_nonbases(
     """Scan the size-`size` subsets of G\\{0} in scan order for a non-basis.
 
     Scan order is lexicographic in the positions of `g.scan_order`, which
-    lists the orbits under `g.symmetries` as blocks, largest first.  A
+    lists the orbits of `g.orbit_min` as blocks, largest first.  A
     subtree is counted without being visited when its prefix walks to the
     whole group, when its walk is bound to grow to the whole group with the
     elements still to append, when an earlier settled subtree (every leaf
@@ -586,8 +574,7 @@ def find_nonbases(
     if size == 0:
         checked, found = (1, ()) if cap > 0 else (0, None)
     else:
-        _SCAN["g"] = g
-        checked, found = _scan_task((size, cap))
+        checked, found = _scan_task((g, size, cap))
     return checked, found, found is not None or checked >= total
 
 

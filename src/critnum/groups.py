@@ -118,38 +118,32 @@ class GroupTable:
         return chunked_translation_tables(self.op, self.n)
 
     @cached_property
-    def symmetries(self) -> tuple[tuple[int, ...], ...]:
-        """The bijections of G that map bases to bases, as element -> image tuples.
+    def orbit_min(self) -> tuple[int, ...]:
+        """The smallest image of each element under maps that send bases to bases.
 
-        A group of maps, identity first, each listed once.  In an abelian
-        group: x -> kx for every k coprime to n (k = -1 is inversion).
-        Otherwise: conjugation by each element, and each conjugation followed
-        by inversion.  Inversion maps bases to bases because
-        -(a1 + ... + ak) = (-ak) + ... + (-a1), and it commutes with every
-        automorphism.
+        In an abelian group the images of x are kx for k coprime to n;
+        otherwise they are the conjugates of x and their inverses.  Inversion
+        maps bases to bases because -(a1 + ... + ak) = (-ak) + ... + (-a1).
         """
         n, op, inv = self.n, self.op, self.inv
-        identity = tuple(range(n))
-        maps = {identity: None}
         if self.is_abelian:
-            # running multiples: m_k[x] = m_{k-1}[x] + x
-            multiple = identity
-            for k in range(2, n):
-                multiple = tuple(op[m][x] for x, m in enumerate(multiple))
-                if math.gcd(k, n) == 1:
-                    maps[multiple] = None
-        else:
-            for y in range(n):
-                row, yi = op[y], inv[y]
-                conj = tuple(op[row[x]][yi] for x in range(n))
-                maps[conj] = None
-                maps[tuple(inv[c] for c in conj)] = None
-        return tuple(maps)
 
-    @cached_property
-    def orbit_min(self) -> tuple[int, ...]:
-        """The smallest element of each element's orbit under `symmetries`."""
-        return tuple(map(min, zip(*self.symmetries)))
+            def images(x: int) -> Iterator[int]:
+                # the running multiple kx, kept when k is a unit
+                y = 0
+                for k in range(1, n):
+                    y = op[y][x]
+                    if math.gcd(k, n) == 1:
+                        yield y
+        else:
+
+            def images(x: int) -> Iterator[int]:
+                for y in range(n):
+                    c = op[op[y][x]][inv[y]]
+                    yield c
+                    yield inv[c]
+
+        return tuple(min(images(x), default=x) for x in range(n))
 
     @cached_property
     def scan_order(self) -> tuple[int, ...]:

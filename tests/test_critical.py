@@ -3,7 +3,7 @@
 import math
 import random
 import time
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given
@@ -26,7 +26,9 @@ from critnum.groups import (
     dicyclic,
     dihedral,
     direct_product,
+    generating_sequence,
     heisenberg,
+    homomorphism,
     make_group,
     semidirect_cyclic,
     smallest_prime_divisor,
@@ -284,6 +286,21 @@ def test_engine_paths_never_list_subgroups(monkeypatch):
         assert cr_exhaustive(g).value == KNOWN_CR[entry.name]
 
 
+@pytest.mark.parametrize("name", ["D5", "Z9", "Z7:Z3", "H27"])
+def test_witness_builds_no_quotient_table(monkeypatch, name):
+    # the witness is re-checked on its labels in Z_p, so a prebuilt table
+    # needs no table for G/K
+    g = catalog_group(name)
+
+    def refuse(*args):
+        raise AssertionError("built a group table")
+
+    monkeypatch.setattr(groups, "_table", refuse)
+    p = smallest_prime_divisor(g.n)
+    assert witness_lower_bound(g).lower_bound == g.n // p + p - 2
+    assert cr_exhaustive(g).value == KNOWN_CR[name]
+
+
 def test_cr_exhaustive_dihedral20_witness_through_quotient():
     # the size-19 witness is checked in G/K, not by a 2^19-state search
     t0 = time.perf_counter()
@@ -416,20 +433,37 @@ def is_automorphism(g, phi, anti=False):
     return True
 
 
+def brute_force_skip_set(g):
+    """{phi, inversion after phi : phi in Aut(G)} less the identity, as element tuples.
+
+    Every choice of images of a generating sequence is tried.
+    """
+    gens = generating_sequence(g)
+    autos = set()
+    for images in product(range(g.n), repeat=len(gens)):
+        phi = homomorphism(g, gens, images, g.op)
+        if phi is not None and sorted(phi) == list(range(g.n)):
+            autos.add(tuple(phi))
+    return (autos | {tuple(g.inv[v] for v in phi) for phi in autos}) - {tuple(range(g.n))}
+
+
 @pytest.mark.parametrize("name", [e.name for e in catalog_init()])
 def test_symmetry_masks_are_the_symmetries_as_maps_of_scan_positions(name):
-    # the skip maps open with one map per symmetry but the identity, in the
-    # symmetries' order, and list no map twice; each is a permutation of the
-    # positions that fixes 0 and carries its map of elements: the element
-    # at position q goes to the element at position perm[q]
+    # each skip map is a permutation of the positions that fixes 0, and no
+    # map is listed twice.  As maps of elements (the element at position q
+    # goes to the element at position perm[q]) they are the automorphisms,
+    # alone and followed by inversion, but the identity; a set that large
+    # or larger is cut at the limit
     g = catalog_group(name)
-    order = g.scan_order
     maps = critical._skip_maps(g)
-    assert len(set(maps)) == len(maps) >= len(g.symmetries) - 1
+    assert len(set(maps)) == len(maps)
     for perm in maps:
         assert sorted(perm) == list(range(g.n)) and perm[0] == 0
-    for perm, phi in zip(maps, g.symmetries[1:]):
-        assert all(order[perm[q]] == phi[order[q]] for q in range(g.n))
+    want = brute_force_skip_set(g)
+    if len(want) + 1 < critical._MAP_LIMIT:
+        assert set(element_maps(g)) == want
+    else:
+        assert len(maps) + 1 == critical._MAP_LIMIT and set(element_maps(g)) <= want
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog_init()])
@@ -465,13 +499,13 @@ def test_skip_maps_below_the_limit_are_the_whole_closed_set(g, size):
 
 def test_skip_maps_stop_at_the_limit():
     # Aut(Z3 x Z3 x Z3) = GL(3, 3) has 11,232 maps and Aut(Z2^5) 9,999,360:
-    # both are cut at the limit, and the cut set still holds the symmetries
+    # both are cut at the limit, to distinct maps that each keep or reverse
+    # every product
     z2 = cyclic(2)
     for g in (catalog_group("Z3xZ3xZ3"), direct_product(z2, direct_product(z2, direct_product(z2, direct_product(z2, z2))))):
         maps = element_maps(g)
-        assert len(maps) + 1 == critical._MAP_LIMIT
-        assert maps[: len(g.symmetries) - 1] == list(g.symmetries[1:])
-        assert all(is_automorphism(g, phi) for phi in maps[:: len(maps) // 40])
+        assert len(set(maps)) == len(maps) == critical._MAP_LIMIT - 1
+        assert all(is_automorphism(g, phi) or is_automorphism(g, phi, anti=True) for phi in maps)
 
 
 def test_skips_are_kept_per_table_identity():
@@ -487,9 +521,9 @@ def test_skips_are_kept_per_table_identity():
 
 
 def without_symmetries(name, scan_order=None):
-    """A fresh catalog table with no symmetry and no skip map but the identity, so nothing is skipped."""
+    """A fresh catalog table whose orbits are single elements, with no skip map, so nothing is skipped."""
     h = catalog_group.__wrapped__(name)
-    h.__dict__["symmetries"] = (tuple(range(h.n)),)
+    h.__dict__["orbit_min"] = tuple(range(h.n))
     if scan_order is not None:
         h.__dict__["scan_order"] = scan_order
     critical._skips(h)[0].clear()
@@ -511,9 +545,9 @@ def scan_with_escalations(monkeypatch, g, size, budget=None):
     calls = []
     escalate = critical._scan_escalate
 
-    def counted(members):
-        calls.append(members)
-        return escalate(members)
+    def counted(leaf):
+        calls.append(leaf.indices())
+        return escalate(leaf)
 
     with monkeypatch.context() as m:
         m.setattr(critical, "_scan_escalate", counted)
@@ -613,9 +647,9 @@ def test_single_find_scan_skips_symmetric_first_elements(
     calls = []
     escalate = critical._scan_escalate
 
-    def counted(members):
-        calls.append(members)
-        return escalate(members)
+    def counted(leaf):
+        calls.append(leaf.indices())
+        return escalate(leaf)
 
     monkeypatch.setattr(critical, "_scan_escalate", counted)
     results = []
@@ -649,9 +683,9 @@ def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
     calls = []
     escalate = critical._scan_escalate
 
-    def counted(members):
-        calls.append(members)
-        return escalate(members)
+    def counted(leaf):
+        calls.append(leaf.indices())
+        return escalate(leaf)
 
     monkeypatch.setattr(critical, "_scan_escalate", counted)
     _, found, _ = find_nonbases(g, size)
@@ -663,6 +697,27 @@ def test_scan_escalates_exactly_the_short_leaves(monkeypatch, name, size):
             if want[-1] == found:
                 break
     assert calls == want
+
+
+def test_a_scan_inside_the_escalation_hook_leaves_the_outer_scan_its_group(monkeypatch):
+    # the hook scans another group once, then delegates: the outer scan
+    # still escalates its leaves against its own table.  A4's first short
+    # leaf, {1, 2, 4, 5, 7}, is a basis of A4 but not of D8
+    g, other = catalog_group("A4"), catalog_group("D8")
+    want = find_nonbases(g, 5)
+    escalate = critical._scan_escalate
+    inner = []
+
+    def hook(leaf):
+        if not inner:
+            # the inner scan's own leaves come here too, and are delegated
+            inner.append(None)
+            inner[0] = find_nonbases(other, 5)
+        return escalate(leaf)
+
+    monkeypatch.setattr(critical, "_scan_escalate", hook)
+    assert find_nonbases(g, 5) == want == (math.comb(11, 5), None, True)
+    assert inner[0][1] is not None
 
 
 @pytest.mark.parametrize("name,size", [("Z9", 5), ("D6", 7), ("A4", 6)])
