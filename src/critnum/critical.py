@@ -7,7 +7,7 @@ import random
 import time
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .groups import (
     CHUNK_BITS,
@@ -209,25 +209,18 @@ def witness_lower_bound(g: GroupTable, k: Optional[SubgroupInfo] = None) -> CrCe
 # ---------------------------------------------------------------------------
 # subset scanning (shared by exhaustive search and the verifiers)
 
-# deepest frame whose children are tested for a canonical prefix (a frame
-# at depth d tests prefixes of d + 1 positions); on the five order-27 scans
-# at t = 10, depths 0 to 4 evaluate 151,353, 100,540, 54,510, 32,567 and
-# 21,528 children.  Depth 4 makes a repeated scan faster, but the first
-# scan of a table tests so many more prefixes that it runs slower than at
-# depth 3 (see README.md)
-_CANON_DEPTH = 3
-
-
 def _scan_escalate(leaf: ElementSet) -> bool:
     """Slow-path cover check of a leaf whose ascending walk fell short."""
     return covers_group(leaf.group, leaf.indices())
 
 
-# the most maps the canonical-prefix skip tests, the identity included.
-# The automorphisms, alone and followed by inversion, are closed under
-# composition up to this many, so a group with a huge Aut(G) stays cheap:
-# Z2^5 has 9,999,360 automorphisms and Z3xZ3xZ3 11,232, and 2,048 of the
-# latter evaluate as few order-27 children as 4,096 do
+# the most maps the canonical-prefix skip tests, the identity included;
+# each map is one bit of the skip bit-sets.  The automorphisms, alone and
+# followed by inversion, are closed under composition up to this many, so a
+# group with a huge Aut(G) stays cheap: Z2^5 has 9,999,360 automorphisms
+# and Z3xZ3xZ3 11,232.  At t = 10 the latter evaluates 306 children with
+# 2,047 maps, 315 with 1,023 and 316 with 4,095, since the cost rule of
+# `_scan_task` tests fewer prefixes the more maps stay live
 _MAP_LIMIT = 2048
 
 
@@ -315,83 +308,58 @@ def _skip_maps(g: GroupTable) -> list[bytes]:
     ]
 
 
-# the skip maps of each table and the skip bit-set of each canonical prefix
-# met so far, kept for the table's lifetime and keyed by its identity:
-# equal tables built apart are kept apart, and hashing a table would read
-# all of it
-_SKIPS: dict[int, tuple[list, dict[tuple[int, ...], int]]] = {}
+class _Skips(NamedTuple):
+    """A table's skip maps, where they send each position as bit-sets of maps, and its tested prefixes.
+
+    Map i of `maps` is bit i of every bit-set.
+    """
+
+    maps: list[bytes]
+    # below[q][v], v <= n: the maps that send position q below v, so
+    # below[q][v + 1] ^ below[q][v] holds those that send q to v
+    below: list[list[int]]
+    # later[q][v], v <= q + 1: the maps that send some position after q below v
+    later: list[list[int]]
+    # falls[q]: the maps that send some position after q below itself
+    falls: list[int]
+    # per scan size, the tested prefixes (see `_scan_task`)
+    prefixes: dict[int, dict[int, int]]
 
 
-def _skips(g: GroupTable) -> tuple[list, dict[tuple[int, ...], int]]:
-    """The table's skip maps and its memo of prefix skips, built on first use."""
+def _skip_tables(maps: list[bytes], n: int) -> _Skips:
+    """The bit-set tables of `maps`, permutations of n positions."""
+    below = [[0] * (n + 1) for _ in range(n)]
+    if maps:
+        joined = b"".join(maps)
+        # a byte below v reads "1" and any other "0", so the images of
+        # position q, last map first, become a binary numeral
+        less = [bytes(48 + (b < v) for b in range(256)) for v in range(n + 1)]
+        for q in range(n):
+            column = joined[q::n][::-1]
+            below[q] = [int(column.translate(less[v]), 2) for v in range(n + 1)]
+    later = [[0] * (q + 2) for q in range(n)]
+    falls = [0] * n
+    for q in range(n - 2, -1, -1):
+        after, then = later[q + 1], below[q + 1]
+        later[q] = [after[v] | then[v] for v in range(q + 2)]
+        falls[q] = falls[q + 1] | then[q + 1]
+    return _Skips(maps, below, later, falls, {})
+
+
+# the skip tables of each table, kept for the table's lifetime and keyed by
+# its identity: equal tables built apart are kept apart, and hashing a
+# table would read all of it
+_SKIPS: dict[int, _Skips] = {}
+
+
+def _skips(g: GroupTable) -> _Skips:
+    """The table's skip maps, their bit-set tables and tested prefixes, built on first use."""
     key = id(g)
     entry = _SKIPS.get(key)
     if entry is None:
-        entry = _SKIPS[key] = (_skip_maps(g), {})
+        entry = _SKIPS[key] = _skip_tables(_skip_maps(g), g.n)
         weakref.finalize(g, _SKIPS.pop, key, None)
     return entry
-
-
-def _noncanonical_children(maps: list[bytes], prefix: Sequence[int]) -> int:
-    """Positions q after a canonical prefix that some map sends, with the prefix, earlier.
-
-    Sets of positions of one size follow scan order by the lowest position
-    at which they differ: the set holding it comes first.  A map that fixes
-    the prefix as a set moves the prefix plus q earlier exactly when it
-    moves q lower; every map fixes the empty prefix.  The prefix is
-    canonical (no map sends it earlier), so for a map that moves it, the
-    lowest such position m is in the prefix, and the prefix plus q goes
-    earlier exactly when q is sent below m, or onto m and the rest decides.
-    Returns a bit-set of positions.
-    """
-    if not maps:
-        return 0
-    n = len(maps[0])
-    # the images of position q under every map are the bytes joined[q::n]
-    joined = b"".join(maps)
-
-    def sent_below(q: int, bound: int) -> bool:
-        return any(v in joined[q::n] for v in range(1, bound))
-
-    if not prefix:
-        return sum(1 << q for q in range(1, n) if sent_below(q, q))
-    held = 0
-    images = [0] * len(maps)
-    for p in prefix:
-        held |= 1 << p
-        images = [x | 1 << v for x, v in zip(images, joined[p::n])]
-    first, head = prefix[-1] + 1, prefix[0]
-    # every q that some map sends below the head is skipped: for each map,
-    # m is the head or above, or the map fixes the prefix
-    skip = sum(1 << q for q in range(first, n) if sent_below(q, head))
-    rest = held ^ 1 << head
-    for perm, image in zip(maps, images):
-        if not image >> head & 1:
-            # m is the head, sent onto by q alone; both sets then hold the
-            # head, and the rest of the prefix against its image decides
-            diff = image ^ rest
-            low = diff & -diff
-            if low & image:
-                q = 1 << perm.index(head)
-                if low < q:
-                    skip |= q
-            continue
-        diff = image ^ held
-        if not diff:
-            for q in range(first, n):
-                if perm[q] < q:
-                    skip |= 1 << q
-            continue
-        m = (diff & -diff).bit_length() - 1
-        # the preimages of the positions from the head to m, then of m
-        for v in range(head + 1, m):
-            skip |= 1 << perm.index(v)
-        q = 1 << perm.index(m)
-        moved = image | 1 << m
-        diff = moved ^ (held | q)
-        if diff & -diff & moved:
-            skip |= q
-    return skip
 
 
 class _ScanEnd(Exception):
@@ -436,16 +404,43 @@ def _scan_task(
     prefix.  The memo restarts whenever the first position advances, which
     bounds its size.
 
-    A prefix of at most `_CANON_DEPTH` + 1 positions that a skip map (an
-    automorphism, alone or followed by inversion; see `_skip_maps`) sends
-    to an earlier set of positions has its subtree counted without being
-    visited: if a set S with that prefix were the first non-basis, its
-    image would be a non-basis earlier in scan order.  The skip bit-set of
-    each canonical prefix is computed once per table and kept (`_skips`),
-    so only the first scan of a table pays for the tests.  The count and
-    the find are those of the full scan in the same order at every cap.  A
-    skipped subtree was not looked at, so, like a short leaf, it leaves its
-    enclosing frames unsettled.
+    A prefix that a skip map (an automorphism, alone or followed by
+    inversion; see `_skip_maps`) sends to an earlier set of positions has
+    its subtree counted without being visited: if a set S with that prefix
+    were the first non-basis, its image would be a non-basis earlier in
+    scan order.  Sets of positions of one size follow scan order by the
+    lowest position at which they differ, and the set holding it comes
+    first.  For a canonical prefix (one that no map sends earlier), a map
+    either fixes it as a set or has its lowest moved position m in it.  A
+    child q then goes earlier under a fixing map exactly when q is sent
+    below q, and under a moving map exactly when q is sent below m, or
+    onto m and the rest of the two sets decides.  So a moving map that
+    sends no position after q to or below m, or a fixing map that sends
+    none below itself, can skip nothing in the subtree and is dropped
+    (orderly generation: Read 1978, McKay 1998).  A frame carries its live
+    maps as bit-sets of maps, one for the fixing maps and one per m, and
+    the tables of `_skips` hold the maps that send each position below
+    each position, so a test is a few bit-set operations per group of
+    maps, however many maps the group holds.
+
+    Where to test is one cost rule: the children of a prefix ending at q,
+    with k elements to append after it, are tested while it has live maps
+    and no more of them than the C(n-1-q, k) sets below it.  On a tested
+    prefix's first visit its children sent below a threshold are marked
+    (`noncanonical`); a child the scan enters is then checked against the
+    maps that send it onto their m, and its live maps are built
+    (`extend`).  The count and the find are those of the full scan in the
+    same order at every cap.  A skipped subtree was not looked at, so,
+    like a short leaf, it leaves its enclosing frames unsettled.
+
+    The tested prefixes of each size are kept per table (`_skips`), keyed
+    by their positions as a bit-set: an entry marks the children that go
+    earlier and those whose own children are not tested.  A later scan of
+    the size reads the entries instead of testing, and a child that it
+    reaches first has its frame's live maps rebuilt from the root.  An
+    entry with no child going earlier and no entry kept below it is
+    dropped once its subtree is done, and its parent marks the child
+    untested: later scans keep only entries that lead to a skip.
 
     Returns the number of subsets certified or examined and the first
     non-basis in scan order, as a sorted tuple of elements, or None.  A
@@ -463,7 +458,7 @@ def _scan_task(
     shifts = range(0, n, CHUNK_BITS)
     comb = math.comb
     last = size - 1
-    maps, skips = _skips(g)
+    maps, below, later, falls, prefixes = _skips(g)
     # rooms[k][p]: the most elements the walk with 0 of a child at position
     # p, with k elements still to append, may hold for the scan to enter
     # it; a larger walk misses fewer than k elements and fewer than the
@@ -477,24 +472,103 @@ def _scan_task(
     path = [0] * size
     settled: list[dict[int, int]] = [{} for _ in range(size)]
     checked = 0
+    # live maps are (fixed, moving): a bit-set of the maps that fix the
+    # prefix, and pairs (m, bit-set of the maps whose lowest moved position
+    # is m), one per m.  Every map fixes the empty prefix
+    start = ((1 << len(maps)) - 1, ())
+    tested = prefixes.setdefault(size, {})
+    # the bits of an entry that mark children going earlier
+    earlier = (1 << n) - 1
 
-    def frame(d: int, r: int) -> bool:
-        """Scan the children of the prefix `path[:d]`, whose walk is r; True if settled."""
+    def noncanonical(live: tuple, first: int, stop: int) -> int:
+        """Positions q in [first, stop) that a live map sends below q if it fixes the prefix, or else below its m."""
+        fixed, moving = live
+        skip = 0
+        for q in range(first, stop):
+            at = below[q]
+            if fixed & at[q]:
+                skip |= 1 << q
+            else:
+                for m, group in moving:
+                    if group & at[m]:
+                        skip |= 1 << q
+                        break
+        return skip
+
+    def extend(live: tuple, d: int) -> Optional[tuple]:
+        """The live maps of `path[:d + 1]` from those of `path[:d]`, or None if one sends it earlier.
+
+        No live map sends q = path[d] below q or its m (`noncanonical`).
+        """
+        fixed, moving = live
+        q = path[d]
+        at, after = below[q], later[q]
+        stay = fixed & at[q + 1]
+        rise = (fixed ^ stay) & after[q + 1]
+        out = {q: rise} if rise else {}
+        fixed = stay & falls[q]
+        prefix = None
+        for m, group in moving:
+            onto = group & at[m + 1]
+            rest = (group ^ onto) & after[m + 1]
+            if rest:
+                out[m] = out.get(m, 0) | rest
+            if not onto:
+                continue
+            if prefix is None:
+                prefix = path[: d + 1]
+                rows = [below[p] for p in prefix]
+            # q lands on m, so the prefix and its image agree up to m.  Past
+            # m, an image in a gap between prefix positions sends the prefix
+            # earlier, and a prefix position that no image lands on is the
+            # new m; for all these maps at once
+            low = m + 1
+            for a in prefix:
+                if a < low:
+                    continue
+                image = 0
+                for row in rows:
+                    if onto & (row[a] ^ row[low]):
+                        return None
+                    image |= row[a + 1] ^ row[a]
+                moved = onto ^ onto & image
+                if moved:
+                    onto ^= moved
+                    moved &= after[a + 1]
+                    if moved:
+                        out[a] = out.get(a, 0) | moved
+                    if not onto:
+                        break
+                low = a + 1
+            else:
+                fixed |= onto & falls[q]
+        return fixed, tuple(out.items())
+
+    def worth(live: tuple, q: int, k: int) -> bool:
+        """True when the children of a prefix ending at q, with k to append after them, are tested."""
+        fixed, moving = live
+        for _, group in moving:
+            fixed |= group
+        return 0 < fixed.bit_count() <= comb(n - 1 - q, k)
+
+    def frame(d: int, r: int, held: int, live: Optional[tuple], node: Optional[int]) -> bool:
+        """Scan the children of the prefix `path[:d]`, whose walk is r; True if settled.
+
+        `held` is the prefix as a bit-set of positions, and `node` its entry
+        in `tested`, or None when its children are not tested: bit p for a
+        child that goes earlier, bit n + p for one that does not and whose
+        children are not tested.  `live` is the prefix's live maps, or None
+        when not built.
+        """
         nonlocal checked
         memo = settled[d]
         chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
-        skip = 0
-        if d <= _CANON_DEPTH:
-            # the parent frame tested this prefix, so it is canonical
-            prefix = tuple(path[:d])
-            skip = skips.get(prefix)
-            if skip is None:
-                skip = skips[prefix] = _noncanonical_children(maps, prefix)
         k = last - d
         room = rooms[k]
         clean = True
+        kept = False
         for p in range(path[d - 1] + 1 if d else 1, n - k):
-            if skip >> p & 1:
+            if node is not None and node >> p & 1:
                 clean = False
             else:
                 a = order[p]
@@ -502,9 +576,31 @@ def _scan_task(
                 x = r | 1 << a
                 for c, v in chunks:
                     x |= per[c][v]
-                if x != full and memo.get(x, n) > p:
+                # a full walk, a memo hit and a walk bound to grow to the
+                # whole group (see the docstring) settle the subtree
+                if x != full and memo.get(x, n) > p and (not k or (x | 1).bit_count() <= room[p]):
                     path[d] = p
-                    if not k:
+                    sub = held | 1 << p
+                    state = entry = None
+                    if node is not None and not node >> n + p & 1:
+                        entry = tested.get(sub)
+                        if entry is None:
+                            # the first scan of this size to reach the child
+                            if live is None:
+                                live = start
+                                for j in range(d):
+                                    live = extend(live, j)
+                            state = extend(live, d)
+                            if state is None:
+                                node |= 1 << p
+                            elif k and worth(state, p, k):
+                                entry = tested[sub] = noncanonical(state, p + 1, n - k + 1)
+                            else:
+                                node |= 1 << n + p
+                            tested[held] = node
+                    if node is not None and node >> p & 1:
+                        clean = False
+                    elif not k:
                         clean = False
                         leaf = ElementSet(g, sum(1 << order[q] for q in path))
                         try:
@@ -513,28 +609,39 @@ def _scan_task(
                             raise _ScanEnd(checked, None) from None
                         if not basis:
                             raise _ScanEnd(checked + 1, leaf.indices())
-                    elif (x | 1).bit_count() <= room[p]:
+                    else:
                         if not d:
                             for m in settled:
                                 m.clear()
                         # a descent happens only when no entry certifies it,
                         # so this p is the smallest seen for the walk
-                        if frame(d + 1, x):
+                        if frame(d + 1, x, sub, state, entry):
                             memo[x] = p
                         else:
                             clean = False
+                        if entry is not None:
+                            if sub in tested:
+                                kept = True
+                            else:
+                                # nothing below the child goes earlier
+                                node |= 1 << n + p
+                                tested[held] = node
                         continue
-                    # else the walk is bound to grow to the whole group
-                    # (see the docstring), and the subtree is settled
-            # a skipped subtree, a full walk, a memo hit, a subtree certified
-            # by growth or a basis leaf
+            # a skipped subtree, a settled subtree or a basis leaf
             checked += comb(n - 1 - p, k)
             if checked >= cap:
                 raise _ScanEnd(cap, None)
+        if d and not kept and node is not None and not node & earlier:
+            # no child goes earlier and no tested child is kept: later
+            # scans need not test this subtree
+            del tested[held]
         return clean
 
+    root = tested.get(0)
+    if root is None and worth(start, 0, size):
+        root = tested[0] = noncanonical(start, 1, n - last)
     try:
-        frame(0, 0)
+        frame(0, 0, 0, start, root)
     except _ScanEnd as end:
         return end.args
     finally:
@@ -556,9 +663,9 @@ def find_nonbases(
     elements still to append, when an earlier settled subtree (every leaf
     below it visited or certified by growth, and walked to the whole group)
     had the same walk, or when an automorphism or anti-automorphism sends
-    its prefix earlier (see `_scan_task`); the maps and the skip of each
-    prefix are built on the first scan of a table and kept while the table
-    lives.
+    its prefix earlier (see `_scan_task`).  The maps and their bit-set
+    tables are built on the first scan of a table, and the prefixes tested
+    at each size are kept, while the table lives.
     Returns (subsets checked, first non-basis or None, complete): the count
     is of subsets in scan order, the non-basis is the first in scan order
     (as a sorted tuple of elements), and complete means every subset was
