@@ -32,8 +32,9 @@ from .verifiers import DEFAULT_TRIALS
 # part of every cache key; raise it whenever a command's record can change
 # for the same arguments, so records of an older engine are misses.  1: the
 # scan visits subsets in orbit-block order (other witnesses and counts).  2: a
-# sampled `verify` run that checked no case reports "complete": false.
-ENGINE_VERSION = 2
+# sampled `verify` run that checked no case reports "complete": false.  3:
+# INEQ2.4 draws sets of three elements too (other cases and counts).
+ENGINE_VERSION = 3
 
 
 def _print_json(obj: dict, pretty: bool) -> None:

@@ -218,9 +218,8 @@ def _scan_escalate(leaf: ElementSet) -> bool:
 # each map is one bit of the skip bit-sets.  The automorphisms, alone and
 # followed by inversion, are closed under composition up to this many, so a
 # group with a huge Aut(G) stays cheap: Z2^5 has 9,999,360 automorphisms
-# and Z3xZ3xZ3 11,232.  At t = 10 the latter evaluates 306 children with
-# 2,047 maps, 315 with 1,023 and 316 with 4,095, since the cost rule of
-# `_scan_task` tests fewer prefixes the more maps stay live
+# and Z3xZ3xZ3 11,232.  At t = 10 the latter evaluates 272 children with
+# 2,047 maps or 1,023, and 262 with 4,095
 _MAP_LIMIT = 2048
 
 
@@ -362,6 +361,23 @@ def _skips(g: GroupTable) -> _Skips:
     return entry
 
 
+def _growth_limits(g: GroupTable) -> list[int]:
+    """Per scan position p, the deficit below which every later append grows a walk (see `_scan_task`).
+
+    It is the least element order at the positions after p, or n in an
+    abelian group, where no order condition is needed.
+    """
+    n = g.n
+    if g.is_abelian:
+        return [n] * n
+    orders, order = g.element_orders, g.scan_order
+    least = [0] * n
+    low = n
+    for p in range(n - 1, 0, -1):
+        low = least[p - 1] = min(low, orders[order[p]])
+    return least
+
+
 class _ScanEnd(Exception):
     """Cap reached, non-basis found or leaf undecided; args are the scan's result."""
 
@@ -389,10 +405,19 @@ def _scan_task(
     B + x = B.  Then B is a union of left cosets of <x>, and so is the
     rest of G, so delta is a multiple of ord(x).  Hence if delta is below
     the order of every element at a position after p, each append grows
-    B until it is G, within delta appends; if delta is also below the k
-    elements still to append, a later append puts 0 itself in the walk.
-    Then all C(n-1-p, k) completions are bases and are counted without
-    being visited (Cauchy-Davenport in Z_p).
+    B until it is G, within delta appends.  An abelian group needs no
+    order condition: the y with B + y = B form the stabiliser H of B,
+    which only grows as elements are appended, since B | (B + x) is again
+    a union of H-cosets.  So the appends that leave B unchanged are
+    distinct nonzero elements of the last stabiliser H' before B is G, at
+    most |H'| - 1 <= delta' - 1 of them for the last deficit delta', and
+    the appends that grow B number at most delta - delta' + 1: any delta
+    distinct nonzero appends make B whole (Kneser's theorem is the general
+    form).  If delta is also below the k elements still to append, a
+    later append puts 0 itself in the walk.  Then all C(n-1-p, k)
+    completions are bases and are counted without being visited
+    (Cauchy-Davenport in Z_p).  `_growth_limits` gives the order bound
+    per position, n in an abelian group.
 
     The walk after a prefix depends only on the prefix's walk and the
     elements appended, so a subtree is settled when every leaf below it was
@@ -456,19 +481,16 @@ def _scan_task(
     tables = g._chunk_tables
     order = g.scan_order
     shifts = range(0, n, CHUNK_BITS)
-    comb = math.comb
     last = size - 1
     maps, below, later, falls, prefixes = _skips(g)
+    # counts[k][p]: the C(n-1-p, k) sets below a child at position p with k
+    # elements still to append
+    counts = [[math.comb(n - 1 - p, k) for p in range(n)] for k in range(size + 1)]
     # rooms[k][p]: the most elements the walk with 0 of a child at position
     # p, with k elements still to append, may hold for the scan to enter
     # it; a larger walk misses fewer than k elements and fewer than the
-    # order of each element after p, the least of which is least[p]
-    orders = g.element_orders
-    least = [0] * n
-    low = n
-    for p in range(n - 1, 0, -1):
-        low = least[p - 1] = min(low, orders[order[p]])
-    rooms = [[n - min(k, v) for v in least] for k in range(size)]
+    # growth limit after p
+    rooms = [[n - min(k, v) for v in _growth_limits(g)] for k in range(size)]
     path = [0] * size
     settled: list[dict[int, int]] = [{} for _ in range(size)]
     checked = 0
@@ -549,7 +571,7 @@ def _scan_task(
         fixed, moving = live
         for _, group in moving:
             fixed |= group
-        return 0 < fixed.bit_count() <= comb(n - 1 - q, k)
+        return 0 < fixed.bit_count() <= counts[k][q]
 
     def frame(d: int, r: int, held: int, live: Optional[tuple], node: Optional[int]) -> bool:
         """Scan the children of the prefix `path[:d]`, whose walk is r; True if settled.
@@ -562,9 +584,14 @@ def _scan_task(
         """
         nonlocal checked
         memo = settled[d]
-        chunks = [(c, v) for c, sh in enumerate(shifts) if (v := r >> sh & CHUNK_MASK)]
+        # a plain loop: before Python 3.12 a comprehension is a function call
+        chunks = []
+        for c, sh in enumerate(shifts):
+            v = r >> sh & CHUNK_MASK
+            if v:
+                chunks.append((c, v))
         k = last - d
-        room = rooms[k]
+        room, count = rooms[k], counts[k]
         clean = True
         kept = False
         for p in range(path[d - 1] + 1 if d else 1, n - k):
@@ -628,7 +655,7 @@ def _scan_task(
                                 tested[held] = node
                         continue
             # a skipped subtree, a settled subtree or a basis leaf
-            checked += comb(n - 1 - p, k)
+            checked += count[p]
             if checked >= cap:
                 raise _ScanEnd(cap, None)
         if d and not kept and node is not None and not node & earlier:
@@ -660,10 +687,11 @@ def find_nonbases(
     lists the orbits of `g.orbit_min` as blocks, largest first.  A
     subtree is counted without being visited when its prefix walks to the
     whole group, when its walk is bound to grow to the whole group with the
-    elements still to append, when an earlier settled subtree (every leaf
-    below it visited or certified by growth, and walked to the whole group)
-    had the same walk, or when an automorphism or anti-automorphism sends
-    its prefix earlier (see `_scan_task`).  The maps and their bit-set
+    elements still to append (in an abelian group, whenever it misses fewer
+    elements than remain to append), when an earlier settled subtree
+    (every leaf below it visited or certified by growth, and walked to the
+    whole group) had the same walk, or when an automorphism or
+    anti-automorphism sends its prefix earlier (see `_scan_task`).  The maps and their bit-set
     tables are built on the first scan of a table, and the prefixes tested
     at each size are kept, while the table lives.
     Returns (subsets checked, first non-basis or None, complete): the count

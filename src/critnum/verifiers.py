@@ -498,7 +498,7 @@ def verify_ineq_2_4(
     g: GroupTable,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    min_size: int = 4,
+    min_size: int = 3,
     max_size: int = 10,
     mode: Optional[str] = None,
 ) -> VerificationReport:

@@ -590,13 +590,15 @@ def without_symmetries(name, scan_order=None):
     return h
 
 
-def without_growth(g):
-    """The table `g` with every element order read as 0, so the scan certifies no subtree by growth.
+def without_growth(monkeypatch, g):
+    """The table `g`, whose scans certify no subtree by growth while the test runs.
 
-    Its skip maps are built first, from the true orders, so only the rule is off.
+    `critical._growth_limits` reads 0 at every position of `g` alone, so the
+    scan enters every child whose walk is not full, whatever its deficit,
+    in an abelian group as in any other.
     """
-    critical._skips(g)
-    g.__dict__["element_orders"] = (0,) * g.n
+    limits = critical._growth_limits
+    monkeypatch.setattr(critical, "_growth_limits", lambda h: [0] * h.n if h is g else limits(h))
     return g
 
 
@@ -624,13 +626,30 @@ def fresh_table(name):
 
 # dicyclic(5) is the one group of order <= 26 seen where certifying also at
 # equality (a deficit equal to k or to the least order) changes a result:
-# at size 7 it skips a short leaf that the scan without growth escalates
-@pytest.mark.parametrize("name", [e.name for e in catalog_init() if e.order <= 27] + ["dicyclic(5)"])
+# at size 7 it skips a short leaf that the scan without growth escalates.
+# The abelian groups of order 25 to 32 try the abelian rule, which needs no
+# order condition, on more subgroup lattices (about 3 s in all)
+ABELIAN_BEYOND_27 = [
+    "cyclic(28)",
+    "cyclic(30)",
+    "cyclic(32)",
+    "direct_product(cyclic(2),cyclic(14))",
+    "direct_product(cyclic(2),cyclic(16))",
+    "direct_product(cyclic(4),cyclic(8))",
+    "direct_product(cyclic(2),direct_product(cyclic(4),cyclic(4)))",
+    "direct_product(cyclic(5),cyclic(5))",
+    "direct_product(cyclic(2),direct_product(cyclic(2),direct_product(cyclic(2),cyclic(4))))",
+]
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog_init() if e.order <= 27] + ["dicyclic(5)"] + ABELIAN_BEYOND_27
+)
 def test_find_nonbases_matches_the_scan_without_growth(monkeypatch, name):
     # certifying a subtree by growth changes neither the count, the find
     # nor the escalated leaves, at any size and budget
     g = fresh_table(name)
-    plain = without_growth(fresh_table(name))
+    plain = without_growth(monkeypatch, fresh_table(name))
     for size in range(g.n):
         total = math.comb(g.n - 1, size)
         for budget in (None, 0, 1, 7, total // 3, total - 1):
@@ -646,15 +665,15 @@ def test_find_nonbases_matches_the_scan_without_growth(monkeypatch, name):
 def test_scans_at_cr_beyond_order_28_match_the_scan_without_growth(monkeypatch, make, size):
     # non-abelian, at t = cr: every subset is certified, with the same escalations
     got = scan_with_escalations(monkeypatch, make(), size)
-    assert got == scan_with_escalations(monkeypatch, without_growth(make()), size)
+    assert got == scan_with_escalations(monkeypatch, without_growth(monkeypatch, make()), size)
     assert got[0][1:] == (None, True)
 
 
 @pytest.mark.slow
-def test_z45_scans_match_the_scan_without_growth():
+def test_z45_scans_match_the_scan_without_growth(monkeypatch):
     # every size, about 14 s
     g = catalog_group("Z45")
-    plain = without_growth(catalog_group.__wrapped__("Z45"))
+    plain = without_growth(monkeypatch, catalog_group.__wrapped__("Z45"))
     for size in range(g.n):
         assert find_nonbases(g, size) == find_nonbases(plain, size), size
 
@@ -680,6 +699,31 @@ def test_a_set_missing_fewer_elements_than_an_order_grows_by_its_translate(name)
                 coset |= g.translate(coset, x)
             b = g.full_mask & ~coset
             assert g.translate(b, x) == b
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_init() if e.abelian])
+def test_in_an_abelian_group_any_delta_appends_fill_a_set_missing_delta_elements(name):
+    # the fact behind the abelian growth rule: the y with B + y = B form a
+    # subgroup that only grows as elements are appended, so whatever their
+    # orders, any delta distinct nonzero appends fill a B that holds 0 and
+    # misses delta elements.  The count is sharp: G less a coset y + H of a
+    # subgroup H of delta elements is fixed by the delta - 1 nonzero
+    # elements of H
+    g = catalog_group(name)
+    rng = random.Random(g.n)
+    for _ in range(200):
+        delta = rng.randrange(1, g.n)
+        b = g.full_mask & ~sum(1 << y for y in rng.sample(range(1, g.n), delta))
+        for x in rng.sample(range(1, g.n), delta):
+            b |= g.translate(b, x)
+        assert b == g.full_mask, delta
+        h = subgroup_mask(g, sum(1 << x for x in rng.sample(range(1, g.n), rng.randrange(1, 3))))
+        if h != g.full_mask:
+            y = rng.choice([y for y in range(g.n) if not h >> y & 1])
+            b = g.full_mask & ~g.translate(h, y)
+            stay = [x for x in range(1, g.n) if h >> x & 1]
+            assert len(stay) == h.bit_count() - 1
+            assert all(g.translate(b, x) == b for x in stay), (h, y)
 
 
 @pytest.mark.parametrize(
@@ -1232,24 +1276,30 @@ def kept_prefixes(g):
     return sum(len(tested) for tested in critical._skips(g).prefixes.values())
 
 
-def test_order27_scans_evaluate_the_pinned_number_of_children():
+def test_order27_scans_evaluate_the_pinned_number_of_children(monkeypatch):
     # at t = 10 no leaf is escalated, so every lookup is a child evaluation.
     # Pinned from the scan that tests prefixes wherever the cost rule lets
     # the live skip maps act, under the automorphisms with and without
-    # inversion, and certifies subtrees by growth (17,544 without growth,
+    # inversion, and certifies subtrees by growth, by deficit alone in the
+    # three abelian groups (12,449 with the order condition there too,
     # 21,881 when only prefixes of up to four positions were tested); more
     # means a weaker skip, memo or growth rule.  The kept prefixes bound the
     # memory the tests leave behind
-    want = {"Z27": 7420, "Z9xZ3": 1694, "Z3xZ3xZ3": 306, "H27": 786, "Z9:Z3": 2243}
-    got, kept = {}, {}
+    want = {"Z27": 6121, "Z9xZ3": 1510, "Z3xZ3xZ3": 272, "H27": 786, "Z9:Z3": 2243}
+    got, kept, plain = {}, {}, {}
     for name in ORDER27:
         g = catalog_group.__wrapped__(name)
         got[name], result = scan_lookups(g, 10)
         assert result == (math.comb(26, 10), None, True)
         kept[name] = kept_prefixes(g)
+        plain[name], result = scan_lookups(without_growth(monkeypatch, catalog_group.__wrapped__(name)), 10)
+        assert result == (math.comb(26, 10), None, True)
     assert got == want
-    assert sum(got.values()) == 12449
-    assert kept == {"Z27": 355, "Z9xZ3": 160, "Z3xZ3xZ3": 31, "H27": 75, "Z9:Z3": 327}
+    assert sum(got.values()) == 10932
+    assert kept == {"Z27": 320, "Z9xZ3": 154, "Z3xZ3xZ3": 27, "H27": 75, "Z9:Z3": 327}
+    # the rule-free oracle of the differential tests enters every child
+    # that either growth rule certifies
+    assert plain == {"Z27": 10139, "Z9xZ3": 2682, "Z3xZ3xZ3": 401, "H27": 1026, "Z9:Z3": 3296}
 
 
 @pytest.mark.slow

@@ -338,8 +338,18 @@ def test_ineq_2_4_bound_is_met_exactly(monkeypatch, extra, fails):
 def test_ineq_2_4_sampled_z27():
     report = verify_ineq_2_4(cyclic(27), trials=800, seed=3)
     assert report.failures == []
-    assert (report.cases_checked, report.skipped) == (56, 744)
+    assert (report.cases_checked, report.skipped) == (144, 656)
     assert (report.mode, report.seed, report.trials) == ("sampled", 3, 800)
+
+
+@pytest.mark.parametrize("name,checked", [("H27", 220), ("Z9:Z3", 247), ("Z15", 388)])
+def test_ineq_2_4_draws_cases_inside_its_hypotheses(name, checked):
+    # no draw of four or more elements lies inside the hypotheses here (its
+    # closure holds n/2 elements or more, or it spans a proper subgroup), so
+    # the draw starts at three elements, as L2.4's does
+    report = verify_ineq_2_4(catalog_group(name), trials=2000)
+    assert report.cases_checked == checked > 0
+    assert report.failures == [] and report.complete
 
 
 def test_ineq_2_4_skips_wide_closures():
